@@ -157,6 +157,13 @@ def read_pgm(data: bytes) -> GrayImage:
             )
         values = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
     else:
+        # Each pixel takes at least a separator and a digit; checking that
+        # before allocating keeps a forged header from sizing the buffer.
+        if len(data) - pos < 2 * count:
+            raise PgmError(
+                f"truncated PGM payload: expected {count} pixel values, "
+                f"found {len(data) - pos} bytes"
+            )
         flat = np.empty(count, dtype=np.float64)
         for i in range(count):
             try:

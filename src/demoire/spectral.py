@@ -41,6 +41,8 @@ MIN_DONORS = 5
 # (~1e-16 of the spectrum peak) could pass it while carrying no energy.
 # Bins below this fraction of the peak magnitude are never impulses.
 MAG_FLOOR_REL = 1e-9
+# Elements gathered per batch when neighborhoods are copied out of a plane.
+_GATHER_LIMIT = 8_000_000
 
 
 class Peak(NamedTuple):
@@ -136,18 +138,27 @@ def _toroidal_dist2(u1: int, v1: int, u2: int, v2: int, h: int, w: int) -> int:
 
 
 def _contamination_mask(h: int, w: int, peaks: PeakSet, radius: int) -> np.ndarray:
+    centers = np.array([(p.u, p.v) for p in peaks], dtype=np.intp).reshape(-1, 1, 2)
+    cells = centers + np.array(_disk_offsets(radius), dtype=np.intp)
     mask = np.zeros((h, w), dtype=bool)
-    for p in peaks:
-        for du, dv in _disk_offsets(radius):
-            mask[(p.u + du) % h, (p.v + dv) % w] = True
+    mask[cells[..., 0] % h, cells[..., 1] % w] = True
     return mask
 
 
-def _local_background(mag: np.ndarray) -> np.ndarray:
-    """Median magnitude over a 21x21 neighborhood with its 5x5 core removed.
+def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: float) -> np.ndarray:
+    """Candidate bins whose magnitude exceeds threshold x local background.
 
-    Computed in float32 in row chunks; the impulse-vs-background margin is
-    orders of magnitude wider than float32 rounding.
+    The local background of a bin is the float32 median magnitude over the
+    21x21 neighborhood (wrapping periodically) with its 5x5 core removed: 416
+    bins, so the median is fl(a + b) / 2 of the 208th- and 209th-smallest
+    values a <= b, which is never below a. A bin can therefore exceed only if
+    at least 208 annulus values lie below mag / threshold. That count is a
+    necessary condition and costs 416 shifted compares of the plane, with no
+    sort. The per-bin limit is rounded up (relative slack 1e-6, then one
+    float32 step) so float32 and float64 rounding can only let more bins
+    through, never fewer. The few bins that pass get the exact float32
+    median and the float64 test ``mag > threshold * background``, so the
+    result is the same as computing the median at every bin.
     """
     h, w = mag.shape
     r = ANNULUS_SIZE // 2
@@ -155,21 +166,36 @@ def _local_background(mag: np.ndarray) -> np.ndarray:
     lo = r - ANNULUS_CORE // 2
     footprint[lo : lo + ANNULUS_CORE, lo : lo + ANNULUS_CORE] = False
     padded = np.pad(mag.astype(np.float32), r, mode="wrap")
+
+    raised = (mag / threshold * (1.0 + 1e-6)).astype(np.float32)
+    # A limit of 0 admits no magnitude, so non-candidates never pass.
+    limit = np.where(candidates, np.nextafter(raised, np.float32(np.inf)), np.float32(0.0))
+    below = np.zeros((h, w), dtype=np.int16)
+    hit = np.empty((h, w), dtype=bool)
+    for du, dv in np.argwhere(footprint):
+        np.less(padded[du : du + h, dv : dv + w], limit, out=hit)
+        below += hit
+
+    exceeds = np.zeros((h, w), dtype=bool)
+    rows, cols = np.nonzero(below >= footprint.sum() // 2)
     windows = sliding_window_view(padded, (ANNULUS_SIZE, ANNULUS_SIZE))
-    out = np.empty((h, w), dtype=np.float32)
-    chunk = max(1, 8_000_000 // (w * ANNULUS_SIZE * ANNULUS_SIZE))
-    for i0 in range(0, h, chunk):
-        sel = windows[i0 : i0 + chunk, :, footprint]
-        out[i0 : i0 + chunk] = np.median(sel, axis=2)
-    return out
+    chunk = max(1, _GATHER_LIMIT // footprint.size)
+    for i0 in range(0, rows.size, chunk):
+        u, v = rows[i0 : i0 + chunk], cols[i0 : i0 + chunk]
+        background = np.median(windows[u, v][:, footprint], axis=1).astype(np.float64)
+        exceeds[u, v] = mag[u, v] > threshold * background
+    return exceeds
 
 
 def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
     """Find impulse bins: magnitude above threshold x local background.
 
-    Bins within the DC guard are ignored, non-maximum suppression keeps one
-    bin per repair disk, and the result is symmetrized so every peak's
-    Hermitian mirror is present.
+    The local background is the median magnitude of the annulus around each
+    bin; it is computed exactly, but only for the bins a rank-count
+    prescreen cannot rule out (see ``_exceeds_background``). Bins within the
+    DC guard are ignored, non-maximum suppression keeps one bin per repair
+    disk, and the result is symmetrized so every peak's Hermitian mirror is
+    present.
     """
     if not spec.centered:
         raise ValueError("detect_peaks expects a centered spectrum")
@@ -180,14 +206,13 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
             f"annulus; images must be at least {MIN_DETECT_DIM}x{MIN_DETECT_DIM}"
         )
     mag = np.abs(spec.data)
-    background = _local_background(mag).astype(np.float64)
     cu, cv = h // 2, w // 2
     guard = params.resolved_guard(h, w)
     uu = (np.arange(h) - cu)[:, np.newaxis]
     vv = (np.arange(w) - cv)[np.newaxis, :]
     outside_guard = uu * uu + vv * vv > guard * guard
-    exceeds = (mag > params.detect_threshold * background) & outside_guard
-    exceeds &= mag > MAG_FLOOR_REL * float(mag.max())
+    eligible = outside_guard & (mag > MAG_FLOOR_REL * float(mag.max()))
+    exceeds = _exceeds_background(mag, eligible, params.detect_threshold)
 
     candidates = np.argwhere(exceeds)
     if candidates.size == 0:
@@ -225,6 +250,36 @@ def notch_reject(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spectr
     return Spectrum(data, centered=True)
 
 
+def _donor_median(
+    mag: np.ndarray, mask: np.ndarray, u: np.ndarray, v: np.ndarray, window: int
+) -> np.ndarray:
+    """Median of the uncontaminated magnitudes in each bin's window x window.
+
+    Contaminated donors sort last as +inf, so each row's median is read at
+    its own donor count: the middle value, or fl(a + b) / 2 of the two middle
+    values, exactly as ``np.median`` computes it.
+    """
+    h, w = mag.shape
+    offsets = np.arange(-(window // 2), window // 2 + 1)
+    rows = ((u[:, None] + offsets) % h)[:, :, None]
+    cols = ((v[:, None] + offsets) % w)[:, None, :]
+    poisoned = mask[rows, cols].reshape(len(u), -1)
+    counts = poisoned.shape[1] - np.count_nonzero(poisoned, axis=1)
+    starving = np.flatnonzero(counts < MIN_DONORS)
+    if starving.size:
+        k = starving[0]
+        raise ValueError(
+            f"only {counts[k]} uncontaminated donor bins around spectrum bin "
+            f"({u[k]}, {v[k]}); increase window above {window}"
+        )
+    donors = np.where(poisoned, np.inf, mag[rows, cols].reshape(len(u), -1))
+    donors.sort(axis=1)
+    at = np.arange(len(u))
+    upper = donors[at, counts // 2]
+    lower = donors[at, (counts - 1) // 2]
+    return np.where(counts % 2 == 1, upper, (lower + upper) / 2)
+
+
 def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spectrum:
     """Re-estimate contaminated bins from the median of untouched neighbors.
 
@@ -244,23 +299,19 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
         return Spectrum(spec.data, centered=True)
     mask = _contamination_mask(h, w, peaks, params.repair_radius)
     src = spec.data
+    mag = np.abs(src)
     repaired = src.copy()
-    half = params.window // 2
-    offsets = np.arange(-half, half + 1)
-    for i, j in np.argwhere(mask):
-        rows = (i + offsets) % h
-        cols = (j + offsets) % w
-        grid = np.ix_(rows, cols)
-        donors = src[grid][~mask[grid]]
-        if donors.size < MIN_DONORS:
-            raise ValueError(
-                f"only {donors.size} uncontaminated donor bins around spectrum bin "
-                f"({i}, {j}); increase window above {params.window}"
-            )
-        estimate = float(np.median(np.abs(donors)))
-        value = src[i, j]
-        scale = abs(value)
-        repaired[i, j] = estimate * (value / scale) if scale > 0.0 else estimate
+    bins = np.argwhere(mask)
+    chunk = max(1, _GATHER_LIMIT // (params.window * params.window))
+    for i0 in range(0, len(bins), chunk):
+        u, v = bins[i0 : i0 + chunk].T
+        estimate = _donor_median(mag, mask, u, v, params.window)
+        value = src[u, v]
+        # The phase is normalized by hypot: numpy's vectorized complex abs
+        # (used for the donor magnitudes) can differ from it in the last bit.
+        scale = np.hypot(value.real, value.imag)
+        unit = np.divide(value, scale, out=np.ones_like(value), where=scale > 0.0)
+        repaired[u, v] = estimate * unit
     mu, mv = _mirror_axes(h, w)
     symmetric = 0.5 * (repaired + np.conj(repaired[np.ix_(mu, mv)]))
     out = np.where(mask, symmetric, src)

@@ -182,6 +182,16 @@ class TestDenoise:
         assert "16x16" in capsys.readouterr().err
 
 
+    def test_huge_p2_header_fails_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "forged.pgm"
+        src.write_bytes(b"P2\n1000000 1000000\n255\n0 1 2\n")
+        rc = main(["denoise", "--in", str(src), "--out", str(tmp_path / "x.pgm"), "--method", "notch"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "x.pgm").exists()
+
+
 class TestPsnr:
     def test_identical_prints_inf(self, constant_image, capsys):
         rc = main(["psnr", "--ref", str(constant_image), "--test", str(constant_image)])

@@ -137,6 +137,13 @@ class TestReadPgm:
         with pytest.raises(PgmError, match="truncated"):
             read_pgm(b"P2\n3 3\n255\n1 2 3 4\n")
 
+    def test_p2_huge_header_rejected_before_allocation(self):
+        with pytest.raises(PgmError, match="truncated"):
+            read_pgm(b"P2\n1000000 1000000\n255\n0 1 2\n")
+
+    def test_p2_payload_without_trailing_newline(self):
+        assert read_pgm(b"P2 2 1 255 7 8").pixels.tolist() == [[7.0, 8.0]]
+
     def test_nonpositive_dimensions(self):
         with pytest.raises(PgmError, match="nonpositive"):
             read_pgm(b"P2\n0 3\n255\n")

@@ -224,6 +224,62 @@ class TestSpectralMedian:
         assert np.array_equal(a.data, b.data)
 
 
+def loop_spectral_median(spec, peaks, params):
+    """Per-bin reference for spectral_median: one np.median per repaired bin."""
+    h, w = spec.shape
+    mask = np.zeros((h, w), dtype=bool)
+    r = params.repair_radius
+    for p in peaks:
+        for du in range(-r, r + 1):
+            for dv in range(-r, r + 1):
+                if du * du + dv * dv <= r * r:
+                    mask[(p.u + du) % h, (p.v + dv) % w] = True
+    src = spec.data
+    repaired = src.copy()
+    offsets = np.arange(-(params.window // 2), params.window // 2 + 1)
+    for i, j in np.argwhere(mask):
+        grid = np.ix_((i + offsets) % h, (j + offsets) % w)
+        donors = src[grid][~mask[grid]]
+        estimate = float(np.median(np.abs(donors)))
+        value = src[i, j]
+        scale = abs(value)
+        repaired[i, j] = estimate * (value / scale) if scale > 0.0 else estimate
+    mu = (2 * (h // 2) - np.arange(h)) % h
+    mv = (2 * (w // 2) - np.arange(w)) % w
+    symmetric = 0.5 * (repaired + np.conj(repaired[np.ix_(mu, mv)]))
+    return np.where(mask, symmetric, src)
+
+
+class TestSpectralMedianReference:
+    @pytest.mark.parametrize("window,radius", [(5, 2), (9, 3), (11, 3)])
+    def test_matches_per_bin_loop_off_bin(self, window, radius):
+        img = make_filtered_field(97, 80, sigma=1.2, seed=8)
+        comps = (MoireComponent(25.0, 20.4 / 97, 13.7 / 80, 0.4), MoireComponent(15.0, 31.3 / 97, -9.6 / 80, 1.1))
+        spec = centered_spectrum_of(synthesize_moire(img, MoireSpec(comps)))
+        params = RepairParams(window=window, repair_radius=radius)
+        peaks = detect_peaks(spec, params)
+        assert len(peaks) > 4
+        got = spectral_median(spec, peaks, params).data
+        assert np.array_equal(got, loop_spectral_median(spec, peaks, params))
+
+    def test_matches_per_bin_loop_with_zero_bins(self):
+        # Zero-magnitude bins keep the estimate as a real value; even donor
+        # counts take the midpoint of the two middle values.
+        data = np.zeros((32, 32), dtype=complex)
+        data[::3, ::2] = np.arange(1, 177).reshape(11, 16) * (1 + 1j)
+        peaks = paired_peaks(32, 32, [(5, 2), (7, 9)])
+        params = RepairParams(window=5, repair_radius=1)
+        got = spectral_median(Spectrum(data, centered=True), peaks, params).data
+        assert np.array_equal(got, loop_spectral_median(Spectrum(data, centered=True), peaks, params))
+
+    def test_starvation_names_first_bin(self):
+        spec = centered_spectrum_of(GrayImage(np.full((32, 32), 50.0)))
+        dense = [(du, dv) for du in range(4, 12) for dv in range(-4, 5)]
+        expected = r"^only 2 uncontaminated donor bins around spectrum bin \(6, 14\); increase window above 9$"
+        with pytest.raises(ValueError, match=expected):
+            spectral_median(spec, paired_peaks(32, 32, dense), RepairParams())
+
+
 class TestDenoiseMoire:
     def test_clean_image_round_trips(self):
         img = GrayImage(np.full((64, 64), 128.0))
