@@ -37,10 +37,12 @@ from .spectral import (
     Peak,
     PeakSet,
     RepairParams,
+    analyze,
     denoise_moire,
     detect_peaks,
     format_peaks_csv,
     notch_reject,
+    repair,
     spectral_median,
 )
 from .transform import Spectrum, center_shift, dft2d, idft2d, log_magnitude
@@ -64,6 +66,7 @@ __all__ = [
     "TvParams",
     "add_gaussian",
     "add_salt_pepper",
+    "analyze",
     "anisotropic_diffusion",
     "bilateral_filter",
     "center_shift",
@@ -85,6 +88,7 @@ __all__ = [
     "parse_moire_csv",
     "psnr",
     "read_pgm",
+    "repair",
     "spectral_median",
     "synthesize_moire",
     "total_variation",

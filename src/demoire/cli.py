@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import GrayImage, psnr, read_pgm, write_pgm
 from .noise import (
@@ -31,19 +32,39 @@ from .spatial import (
     nlm_denoise,
     tv_denoise,
 )
-from .spectral import (
-    RepairParams,
-    denoise_moire,
-    detect_peaks,
-    format_peaks_csv,
-    notch_reject,
-    spectral_median,
-)
-from .transform import center_shift, dft2d, idft2d, log_magnitude
+from .spectral import RepairParams, analyze, denoise_moire, format_peaks_csv, repair
 
-SPECTRAL_METHODS = {"notch": "notch", "spectral-median": "median"}
-SPATIAL_METHODS = ("bilateral", "diffusion", "median", "mode", "nlm", "tv")
-ALL_METHODS = tuple(sorted((*SPECTRAL_METHODS, *SPATIAL_METHODS)))
+# perfbench/spans.py wraps these names in this module, so they stay importable here.
+from .spectral import detect_peaks, notch_reject, spectral_median  # noqa: F401
+from .transform import center_shift, dft2d, idft2d, log_magnitude  # noqa: F401
+
+
+def _flags(*same: str, **renamed: str) -> dict[str, str]:
+    return {**{name: name for name in same}, **renamed}
+
+
+class Method(NamedTuple):
+    func: str  # spectral repair, or spatial filter looked up in this module per call
+    params: type  # params class; dict passes the fields to func as keywords
+    flags: dict[str, str]  # argparse dest -> params field; an unset flag keeps the default
+
+    @property
+    def spectral(self) -> bool:
+        return self.params is RepairParams
+
+
+_SPECTRAL_FLAGS = _flags("repair_radius", "window", guard_dc="guard_dc_radius", threshold="detect_threshold")
+METHODS = {
+    "notch": Method("notch", RepairParams, _SPECTRAL_FLAGS),
+    "spectral-median": Method("median", RepairParams, _SPECTRAL_FLAGS),
+    "bilateral": Method("bilateral_filter", BilateralParams, _flags("sigma_s", "sigma_r")),
+    "diffusion": Method("anisotropic_diffusion", DiffusionParams, _flags("k", "lam", "iterations", "conductance")),
+    "median": Method("median_filter", MedianParams, _flags("window")),
+    "mode": Method("mode_filter", dict, _flags("window", "mode_kind", "bin_width")),
+    "nlm": Method("nlm_denoise", NlmParams, _flags("h", "patch_radius", "search_radius")),
+    "tv": Method("tv_denoise", TvParams, _flags("step", "iterations", "epsilon", tv_lambda="lam")),
+}
+ALL_METHODS = tuple(sorted(METHODS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,25 +91,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--dump-peaks", help="write detected peaks as CSV (spectral methods)")
     p_den.add_argument("--dump-spectrum", help="write the input's log-magnitude spectrum as PGM")
     spectral = p_den.add_argument_group("spectral method parameters")
-    spectral.add_argument("--repair-radius", type=int, default=3)
-    spectral.add_argument("--window", type=int, help="median window side (default 9 spectral, 3 spatial)")
+    spectral.add_argument("--repair-radius", type=int)
+    window_help = f"median window side (default {RepairParams.window} spectral, {MedianParams.window} spatial)"
+    spectral.add_argument("--window", type=int, help=window_help)
     spectral.add_argument("--guard-dc", type=int, help="DC guard radius in bins (default: auto)")
-    spectral.add_argument("--threshold", type=float, default=10.0, help="detection threshold multiple")
+    spectral.add_argument("--threshold", type=float, help="detection threshold multiple")
     spatial = p_den.add_argument_group("spatial method parameters")
-    spatial.add_argument("--mode-kind", choices=("global", "local"), default="local")
-    spatial.add_argument("--bin-width", type=float, default=8.0)
-    spatial.add_argument("--sigma-s", type=float, default=2.0)
-    spatial.add_argument("--sigma-r", type=float, default=30.0)
-    spatial.add_argument("--k", type=float, default=15.0, help="diffusion edge threshold")
-    spatial.add_argument("--lam", type=float, default=0.2, help="diffusion step size")
-    spatial.add_argument("--iterations", type=int, help="default 10 diffusion, 100 tv")
-    spatial.add_argument("--conductance", choices=("exponential", "rational"), default="exponential")
-    spatial.add_argument("--tv-lambda", type=float, default=1.0, help="TV fidelity weight")
-    spatial.add_argument("--step", type=float, default=0.1, help="TV descent step")
-    spatial.add_argument("--epsilon", type=float, default=1e-6, help="TV gradient regularizer")
-    spatial.add_argument("--h", type=float, default=10.0, help="NLM weight decay")
-    spatial.add_argument("--patch-radius", type=int, default=3)
-    spatial.add_argument("--search-radius", type=int, default=10)
+    spatial.add_argument("--mode-kind", choices=("global", "local"))
+    spatial.add_argument("--bin-width", type=float)
+    spatial.add_argument("--sigma-s", type=float)
+    spatial.add_argument("--sigma-r", type=float)
+    spatial.add_argument("--k", type=float, help="diffusion edge threshold")
+    spatial.add_argument("--lam", type=float, help="diffusion step size")
+    iterations_help = f"default {DiffusionParams.iterations} diffusion, {TvParams.iterations} tv"
+    spatial.add_argument("--iterations", type=int, help=iterations_help)
+    spatial.add_argument("--conductance", choices=("exponential", "rational"))
+    spatial.add_argument("--tv-lambda", type=float, help="TV fidelity weight")
+    spatial.add_argument("--step", type=float, help="TV descent step")
+    spatial.add_argument("--epsilon", type=float, help="TV gradient regularizer")
+    spatial.add_argument("--h", type=float, help="NLM weight decay")
+    spatial.add_argument("--patch-radius", type=int)
+    spatial.add_argument("--search-radius", type=int)
     p_den.set_defaults(func=cmd_denoise, parser=p_den)
 
     p_psnr = sub.add_parser("psnr", help="PSNR between two PGM files")
@@ -107,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--timing",
         action="store_true",
-        help="measure wall-clock per denoise call; off by default so reruns are byte-identical",
+        help="fill runtime_ms with wall-clock ms per row (spectral: the shared transform and detection "
+        "plus that method's repair); off by default so reruns are byte-identical",
     )
     p_bench.set_defaults(func=cmd_bench, parser=p_bench)
     return parser
@@ -137,61 +161,29 @@ def cmd_add_noise(args) -> int:
     return 0
 
 
-def _repair_params(args) -> RepairParams:
-    return RepairParams(
-        repair_radius=args.repair_radius,
-        window=args.window if args.window is not None else 9,
-        guard_dc_radius=args.guard_dc,
-        detect_threshold=args.threshold,
-    )
+def _params(method: Method, args=None):
+    """The method's params: each flag set in args over the library default."""
+    given = {f: getattr(args, d) for d, f in method.flags.items() if getattr(args, d, None) is not None}
+    return method.params(**given)
 
 
-def _run_spatial(img: GrayImage, method: str, args=None) -> GrayImage:
-    """Dispatch a spatial filter; args=None uses the documented defaults."""
-    if method == "median":
-        window = 3 if args is None or args.window is None else args.window
-        return median_filter(img, MedianParams(window))
-    if method == "mode":
-        window = 3 if args is None or args.window is None else args.window
-        kind = "local" if args is None else args.mode_kind
-        bin_width = 8.0 if args is None else args.bin_width
-        return mode_filter(img, window, kind, bin_width)
-    if method == "bilateral":
-        p = BilateralParams() if args is None else BilateralParams(args.sigma_s, args.sigma_r)
-        return bilateral_filter(img, p)
-    if method == "diffusion":
-        if args is None:
-            p = DiffusionParams()
-        else:
-            iters = args.iterations if args.iterations is not None else 10
-            p = DiffusionParams(args.k, args.lam, iters, args.conductance)
-        return anisotropic_diffusion(img, p)
-    if method == "tv":
-        if args is None:
-            p = TvParams()
-        else:
-            iters = args.iterations if args.iterations is not None else 100
-            p = TvParams(args.tv_lambda, args.step, iters, args.epsilon)
-        return tv_denoise(img, p)
-    if method == "nlm":
-        p = NlmParams() if args is None else NlmParams(args.h, args.patch_radius, args.search_radius)
-        return nlm_denoise(img, p)
-    raise ValueError(f"unknown method {method!r}")
+def _filter(img: GrayImage, method: Method, params) -> GrayImage:
+    func = globals()[method.func]
+    return func(img, **params) if method.params is dict else func(img, params)
 
 
 def cmd_denoise(args) -> int:
+    method = METHODS[args.method]
+    if args.dump_peaks and not method.spectral:
+        spectral = ", ".join(m for m in ALL_METHODS if METHODS[m].spectral)
+        args.parser.error(f"--dump-peaks requires a spectral method ({spectral})")
     img = read_pgm(Path(args.input).read_bytes())
-    if args.method in SPECTRAL_METHODS:
-        params = _repair_params(args)
-        denoised, peaks = denoise_moire(img, SPECTRAL_METHODS[args.method], params)
+    if method.spectral:
+        denoised, peaks = denoise_moire(img, method.func, _params(method, args))
         if args.dump_peaks:
             Path(args.dump_peaks).write_text(format_peaks_csv(peaks))
     else:
-        if args.dump_peaks:
-            args.parser.error(
-                f"--dump-peaks requires a spectral method ({', '.join(sorted(SPECTRAL_METHODS))})"
-            )
-        denoised = _run_spatial(img, args.method, args)
+        denoised = _filter(img, method, _params(method, args))
     if args.dump_spectrum:
         spectrum_view = log_magnitude(center_shift(dft2d(img)))
         Path(args.dump_spectrum).write_bytes(write_pgm(spectrum_view))
@@ -214,10 +206,14 @@ def _mean_label(values: list[float | None]) -> str:
 
 
 def cmd_bench(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in ALL_METHODS:
+    names = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not names:
+        args.parser.error("--methods lists no method")
+    for m in names:
+        if m not in METHODS:
             args.parser.error(f"unknown method {m!r}: valid methods are {', '.join(ALL_METHODS)}")
+        if names.count(m) > 1:
+            args.parser.error(f"--methods lists {m!r} more than once")
     image_dir = Path(args.images)
     files = sorted(image_dir.glob("*.pgm"))
     if not files:
@@ -231,41 +227,31 @@ def cmd_bench(args) -> int:
         for noise_id, mspec in default_noise_corpus(clean.height, clean.width):
             noisy = synthesize_moire(clean, mspec)
             base = psnr(clean, noisy)
-            cache = None
-            for method in methods:
-                started = time.perf_counter() if args.timing else 0.0
-                if method in SPECTRAL_METHODS:
-                    if args.timing:
-                        denoised, _ = denoise_moire(noisy, SPECTRAL_METHODS[method], params)
-                    else:
-                        # Detection is method-independent; share it across rows.
-                        if cache is None:
-                            centered = center_shift(dft2d(noisy))
-                            cache = (centered, detect_peaks(centered, params))
-                        centered, peaks = cache
-                        if method == "notch":
-                            repaired = notch_reject(centered, peaks, params)
-                        else:
-                            repaired = spectral_median(centered, peaks, params)
-                        denoised = idft2d(center_shift(repaired))
+            started = time.perf_counter()
+            if any(METHODS[m].spectral for m in names):
+                centered, peaks = analyze(noisy, params)
+            analysis_s = time.perf_counter() - started
+            for name in names:
+                method = METHODS[name]
+                # A spectral row's clock includes the analysis its method shares.
+                started = time.perf_counter() - (analysis_s if method.spectral else 0.0)
+                if method.spectral:
+                    denoised = repair(centered, peaks, method.func, params)
                 else:
-                    denoised = _run_spatial(noisy, method)
+                    denoised = _filter(noisy, method, _params(method))
                 runtime_ms = (time.perf_counter() - started) * 1000.0 if args.timing else 0.0
-                result = psnr(clean, denoised)
-                rows.append((path.stem, noise_id, method, base.psnr_db, result.psnr_db, runtime_ms))
+                rows.append((path.stem, noise_id, name, base, psnr(clean, denoised), runtime_ms))
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = ["image,noise,method,psnr_noisy,psnr_denoised,runtime_ms"]
     for name, noise_id, method, p_noisy, p_den, ms in rows:
-        noisy_label = "inf" if p_noisy is None else f"{p_noisy:.2f}"
-        den_label = "inf" if p_den is None else f"{p_den:.2f}"
-        lines.append(f"{name},{noise_id},{method},{noisy_label},{den_label},{ms:.3f}")
+        lines.append(f"{name},{noise_id},{method},{p_noisy.psnr_label()},{p_den.psnr_label()},{ms:.3f}")
     for method in sorted({r[2] for r in rows}):
         match = [r for r in rows if r[2] == method]
         mean_ms = sum(r[5] for r in match) / len(match)
         lines.append(
-            f"mean,all,{method},{_mean_label([r[3] for r in match])},"
-            f"{_mean_label([r[4] for r in match])},{mean_ms:.3f}"
+            f"mean,all,{method},{_mean_label([r[3].psnr_db for r in match])},"
+            f"{_mean_label([r[4].psnr_db for r in match])},{mean_ms:.3f}"
         )
     Path(args.output).write_text("\n".join(lines) + "\n")
     return 0

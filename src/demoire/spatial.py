@@ -115,7 +115,7 @@ def median_filter(img: GrayImage, p: MedianParams) -> GrayImage:
 
 
 def mode_filter(
-    img: GrayImage, window: int, mode_kind: str = "local", bin_width: float = 8.0
+    img: GrayImage, window: int = 3, mode_kind: str = "local", bin_width: float = 8.0
 ) -> GrayImage:
     """Histogram-mode smoothing over a sliding window.
 

@@ -26,10 +26,12 @@ __all__ = [
     "Peak",
     "PeakSet",
     "RepairParams",
+    "analyze",
     "denoise_moire",
     "detect_peaks",
     "format_peaks_csv",
     "notch_reject",
+    "repair",
     "spectral_median",
 ]
 
@@ -318,21 +320,28 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     return Spectrum(out, centered=True)
 
 
+def analyze(img: GrayImage, params: RepairParams) -> tuple[Spectrum, PeakSet]:
+    """Transform and detect; one analysis can feed a ``repair`` per method."""
+    centered = center_shift(dft2d(img))
+    return centered, detect_peaks(centered, params)
+
+
+def repair(centered: Spectrum, peaks: PeakSet, method: str, params: RepairParams) -> GrayImage:
+    """Repair the detected bins ("notch" or "median") and invert to an image."""
+    if method not in ("notch", "median"):
+        raise ValueError(f"unknown repair method {method!r}: expected 'notch' or 'median'")
+    step = notch_reject if method == "notch" else spectral_median
+    return idft2d(center_shift(step(centered, peaks, params)))
+
+
 def denoise_moire(
     img: GrayImage, method: str, params: RepairParams | None = None
 ) -> tuple[GrayImage, PeakSet]:
-    """Full pipeline: transform, detect, repair ("notch" or "median"), invert."""
-    if method not in ("notch", "median"):
-        raise ValueError(f"unknown repair method {method!r}: expected 'notch' or 'median'")
+    """Full pipeline: ``analyze``, then ``repair`` with "notch" or "median"."""
     if params is None:
         params = RepairParams()
-    centered = center_shift(dft2d(img))
-    peaks = detect_peaks(centered, params)
-    if method == "notch":
-        repaired = notch_reject(centered, peaks, params)
-    else:
-        repaired = spectral_median(centered, peaks, params)
-    return idft2d(center_shift(repaired)), peaks
+    centered, peaks = analyze(img, params)
+    return repair(centered, peaks, method, params), peaks
 
 
 def format_peaks_csv(peaks: PeakSet) -> str:

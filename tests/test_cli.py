@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
 
-from demoire import GrayImage, read_pgm, write_pgm
+import demoire.spectral
+from demoire import (
+    BilateralParams,
+    DiffusionParams,
+    GrayImage,
+    MedianParams,
+    MoireComponent,
+    MoireSpec,
+    NlmParams,
+    RepairParams,
+    TvParams,
+    anisotropic_diffusion,
+    bilateral_filter,
+    denoise_moire,
+    median_filter,
+    mode_filter,
+    nlm_denoise,
+    read_pgm,
+    synthesize_moire,
+    tv_denoise,
+    write_pgm,
+)
 from demoire.cli import main
 
 
@@ -142,6 +163,37 @@ class TestDenoise:
             )
         assert err.value.code == 2
 
+    def test_dump_peaks_usage_checked_before_reading(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(
+                ["denoise", "--in", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "x.pgm"),
+                 "--method", "median", "--dump-peaks", str(tmp_path / "p.csv")]
+            )
+        assert err.value.code == 2
+        assert "--dump-peaks requires a spectral method (notch, spectral-median)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, library",
+        [
+            ("notch", lambda img: denoise_moire(img, "notch", RepairParams())[0]),
+            ("spectral-median", lambda img: denoise_moire(img, "median", RepairParams())[0]),
+            ("bilateral", lambda img: bilateral_filter(img, BilateralParams())),
+            ("diffusion", lambda img: anisotropic_diffusion(img, DiffusionParams())),
+            ("median", lambda img: median_filter(img, MedianParams())),
+            ("mode", lambda img: mode_filter(img)),
+            ("nlm", lambda img: nlm_denoise(img, NlmParams())),
+            ("tv", lambda img: tv_denoise(img, TvParams())),
+        ],
+    )
+    def test_unset_flags_keep_library_defaults(self, tmp_path, method, library):
+        rng = np.random.default_rng(11)
+        texture = GrayImage(128.0 + 12.0 * rng.standard_normal((32, 32)))
+        img = read_pgm(write_pgm(synthesize_moire(texture, MoireSpec((MoireComponent(25.0, 0.25, 0.125, 0.3),)))))
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        src.write_bytes(write_pgm(img))
+        assert main(["denoise", "--in", str(src), "--out", str(out), "--method", method]) == 0
+        assert out.read_bytes() == write_pgm(library(img))
+
     @pytest.mark.parametrize("method", ["median", "mode", "bilateral", "diffusion", "tv", "nlm"])
     def test_spatial_methods_run(self, tmp_path, method):
         src = tmp_path / "small.pgm"
@@ -280,6 +332,30 @@ class TestBench:
         with pytest.raises(SystemExit) as err:
             main(["bench", "--images", str(image_dir), "--out", str(tmp_path / "b.csv"), "--methods", "magic"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "methods, problem",
+        [("", "lists no method"), (",", "lists no method"), ("notch,notch", "lists 'notch' more than once")],
+    )
+    def test_empty_or_duplicate_methods_usage_error(self, tmp_path, image_dir, capsys, methods, problem):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--images", str(image_dir), "--out", str(out), "--methods", methods])
+        assert err.value.code == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_timing_shares_detection_and_keeps_columns(self, tmp_path, image_dir, monkeypatch):
+        plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+        argv = ["bench", "--images", str(image_dir), "--methods", "notch,spectral-median"]
+        assert main([*argv, "--out", str(plain)]) == 0
+        calls = []
+        detect = demoire.spectral.detect_peaks
+        monkeypatch.setattr(demoire.spectral, "detect_peaks", lambda *a: calls.append(1) or detect(*a))
+        assert main([*argv, "--out", str(timed), "--timing"]) == 0
+        assert len(calls) == 2 * 6  # 2 images x 6 patterns: one detection per case for both methods
+        plain_lines, timed_lines = plain.read_text().splitlines(), timed.read_text().splitlines()
+        assert [ln.rsplit(",", 1)[0] for ln in timed_lines] == [ln.rsplit(",", 1)[0] for ln in plain_lines]
 
     def test_timing_flag_fills_runtime(self, tmp_path, image_dir):
         out = tmp_path / "bench.csv"
