@@ -32,10 +32,10 @@ from .spatial import (
     nlm_denoise,
     tv_denoise,
 )
-from .spectral import RepairParams, analyze, denoise_moire, format_peaks_csv, repair
+from .spectral import RepairParams, analyze, format_peaks_csv, repair
 
 # perfbench/spans.py wraps these names in this module, so they stay importable here.
-from .spectral import detect_peaks, notch_reject, spectral_median  # noqa: F401
+from .spectral import denoise_moire, detect_peaks, notch_reject, spectral_median  # noqa: F401
 from .transform import center_shift, dft2d, idft2d, log_magnitude  # noqa: F401
 
 
@@ -178,15 +178,19 @@ def cmd_denoise(args) -> int:
         spectral = ", ".join(m for m in ALL_METHODS if METHODS[m].spectral)
         args.parser.error(f"--dump-peaks requires a spectral method ({spectral})")
     img = read_pgm(Path(args.input).read_bytes())
+    centered = None
     if method.spectral:
-        denoised, peaks = denoise_moire(img, method.func, _params(method, args))
+        params = _params(method, args)
+        centered, peaks = analyze(img, params)
+        denoised = repair(centered, peaks, method.func, params)
         if args.dump_peaks:
             Path(args.dump_peaks).write_text(format_peaks_csv(peaks))
     else:
         denoised = _filter(img, method, _params(method, args))
     if args.dump_spectrum:
-        spectrum_view = log_magnitude(center_shift(dft2d(img)))
-        Path(args.dump_spectrum).write_bytes(write_pgm(spectrum_view))
+        if centered is None:
+            centered = center_shift(dft2d(img))
+        Path(args.dump_spectrum).write_bytes(write_pgm(log_magnitude(centered)))
     Path(args.output).write_bytes(write_pgm(denoised))
     return 0
 

@@ -122,7 +122,10 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():
         raise PgmError(f"invalid {what} in PGM header: {token!r}")
-    return int(token), pos
+    try:
+        return int(token), pos
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise PgmError(f"invalid {what} in PGM header: {len(token)} digits") from None
 
 
 def read_pgm(data: bytes) -> GrayImage:
@@ -174,7 +177,10 @@ def read_pgm(data: bytes) -> GrayImage:
                 ) from None
             if not token.isdigit():
                 raise PgmError(f"invalid pixel value {token!r} in P2 payload")
-            flat[i] = int(token)
+            try:
+                flat[i] = int(token)
+            except ValueError:  # more digits than int() converts
+                raise PgmError(f"invalid pixel value of {len(token)} digits in P2 payload") from None
         values = flat
     if values.max(initial=0.0) > maxval:
         raise PgmError(f"pixel value exceeds declared maxval {maxval}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import demoire.cli
 import demoire.spectral
 from demoire import (
     BilateralParams,
@@ -14,9 +15,12 @@ from demoire import (
     TvParams,
     anisotropic_diffusion,
     bilateral_filter,
+    center_shift,
     denoise_moire,
+    dft2d,
     median_filter,
     mode_filter,
+    log_magnitude,
     nlm_denoise,
     read_pgm,
     synthesize_moire,
@@ -138,6 +142,20 @@ class TestDenoise:
         assert read_pgm(spectrum_pgm.read_bytes()).shape == (64, 64)
         denoised = read_pgm(out.read_bytes())
         assert np.max(np.abs(denoised.pixels - 128.0)) <= 1.0
+
+    @pytest.mark.parametrize("method", ["notch", "median"])
+    def test_dump_spectrum_transforms_once(self, tmp_path, monkeypatch, method):
+        rng = np.random.default_rng(4)
+        img = read_pgm(write_pgm(GrayImage(128.0 + 12.0 * rng.standard_normal((32, 48)))))
+        src, spectrum_pgm = tmp_path / "in.pgm", tmp_path / "spectrum.pgm"
+        src.write_bytes(write_pgm(img))
+        calls = []
+        for module in (demoire.cli, demoire.spectral):
+            monkeypatch.setattr(module, "dft2d", lambda x: calls.append(1) or dft2d(x))
+        argv = ["denoise", "--in", str(src), "--out", str(tmp_path / "out.pgm"), "--method", method]
+        assert main([*argv, "--dump-spectrum", str(spectrum_pgm)]) == 0
+        assert len(calls) == 1
+        assert spectrum_pgm.read_bytes() == write_pgm(log_magnitude(center_shift(dft2d(img))))
 
     def test_notch_on_clean_image_round_trips(self, tmp_path, constant_image):
         out = tmp_path / "out.pgm"

@@ -1,9 +1,13 @@
 """Detection must match the reference: the annulus median computed at every bin.
 
-``detect_peaks`` prescreens bins by counting annulus values below
-``mag / threshold`` and computes the exact median only for the bins that
-pass. These tests keep the full-plane median as the reference and require
-identical ``PeakSet``s, including the cases where rounding and ties decide.
+``detect_peaks`` needs the exact median only where at least half the annulus
+lies below ``mag / threshold``. It tests that count in two tiers: an upper
+bound for the whole plane from the minima of 3x3 tiles, then the exact count
+on the bins the bound cannot rule out, and computes the median only for the
+bins that pass both. These tests keep the full-plane median as the reference
+and require identical ``PeakSet``s, including the cases where rounding, ties,
+many surviving bins and chunked gathers decide. They also require the tier-1
+bound never to fall below a brute-force count.
 """
 
 import numpy as np
@@ -147,3 +151,73 @@ def test_wrapping_annulus_at_minimum_size(monkeypatch):
         assert_same_detection(
             centered(textured), RepairParams(detect_threshold=threshold), monkeypatch
         )
+
+
+def reference_footprint():
+    size, core = spectral.ANNULUS_SIZE, spectral.ANNULUS_CORE
+    footprint = np.ones((size, size), dtype=bool)
+    lo = size // 2 - core // 2
+    footprint[lo : lo + core, lo : lo + core] = False
+    return footprint
+
+
+def brute_force_count(padded, limit):
+    """Per bin, the annulus values below ``limit``: one compare per annulus cell."""
+    h, w = limit.shape
+    count = np.zeros((h, w), dtype=np.int64)
+    for du, dv in np.argwhere(reference_footprint()):
+        count += padded[du : du + h, dv : dv + w] < limit
+    return count
+
+
+@pytest.mark.parametrize("shape,seed", [((16, 16), 0), ((23, 37), 1), ((48, 40), 2)])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_count_bound_never_below_exact_count(shape, seed, sparse):
+    rng = np.random.default_rng(seed)
+    if sparse:
+        # Isolated low cells: a tile that misses one leaves the bound below the count.
+        plane = np.full(shape, 10.0, dtype=np.float32)
+        plane.flat[rng.choice(plane.size, 3, replace=False)] = 1.0
+        limit = np.where(rng.random(shape) < 0.5, 5.0, 1.0).astype(np.float32)
+    else:
+        # Few levels make plateaus; limits drawn from the plane tie with its values.
+        plane = rng.integers(0, 5, size=shape).astype(np.float32)
+        smooth = rng.random(shape) < 0.5
+        plane[smooth] = rng.rayleigh(2.0, size=np.count_nonzero(smooth)).astype(np.float32)
+        limit = rng.choice(plane.ravel(), size=shape)
+    limit[rng.random(shape) < 0.2] = 0.0
+    limit[rng.random(shape) < 0.05] = np.inf
+    padded = np.pad(plane, spectral.ANNULUS_SIZE // 2, mode="wrap")
+    bound = spectral._count_bound(padded, limit)
+    assert np.all(bound >= brute_force_count(padded, limit))
+    assert np.all(bound[limit == 0.0] == 0)
+    assert np.all(bound[limit == np.inf] == reference_footprint().sum())
+
+
+@pytest.mark.parametrize("gather_limit", [1, 7 * spectral.ANNULUS_SIZE**2])
+def test_chunked_gathers_identical(gather_limit, monkeypatch):
+    img = make_filtered_field(64, 64, sigma=0.7, seed=5)
+    noisy = synthesize_moire(img, MoireSpec((MoireComponent(25.0, 20.4 / 64, 13.7 / 64, 0.5),)))
+    spec = centered(noisy)
+    params = RepairParams(detect_threshold=2.0)
+    bounds = []
+    count_bound = spectral._count_bound
+    monkeypatch.setattr(spectral, "_count_bound", lambda *a: bounds.append(count_bound(*a)) or bounds[-1])
+    monkeypatch.setattr(spectral, "_GATHER_LIMIT", gather_limit)
+    assert len(assert_same_detection(spec, params, monkeypatch)) >= 2
+    chunk = max(1, gather_limit // spectral.ANNULUS_SIZE**2)
+    assert np.count_nonzero(bounds[0] >= 208) > 3 * chunk
+
+
+@pytest.mark.parametrize("shape", [(48, 40), (47, 41)])
+@pytest.mark.parametrize("threshold,surviving", [(1.05, 0.25), (2.0, 0.0)])
+def test_survivor_heavy_white_spectrum_identical(shape, threshold, surviving, monkeypatch):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec = Spectrum(data, centered=True)
+    bound = spectral._count_bound(
+        np.pad(np.abs(data).astype(np.float32), spectral.ANNULUS_SIZE // 2, mode="wrap"),
+        (np.abs(data) / threshold).astype(np.float32),
+    )
+    assert np.count_nonzero(bound >= 208) >= surviving * data.size
+    assert_same_detection(spec, RepairParams(detect_threshold=threshold), monkeypatch)
