@@ -1,10 +1,14 @@
 """Median wall time of one ``detect_peaks`` call, per input set.
 
-Four sets: the 24 acceptance-bench cases (the four 256x256 bench images x
-the six on-grid corpus patterns), and for each of 240x256, 256x320 and
-257x256 four off-grid cases (filtered-noise textures with two sinusoids
-0.37 and 0.29 bin off the grid). Spectra are computed before timing, so only
-detection is timed.
+Six sets: the 24 acceptance-bench cases (the four 256x256 bench images x
+the six on-grid corpus patterns); for each of 240x256, 256x320 and 257x256
+four off-grid cases (filtered-noise textures with two sinusoids 0.37 and 0.29
+bin off the grid); and two 256x256 spectra on which the tier-1 count bound
+of ``spectral._exceeds_background`` rules out few bins: a flat spectrum
+with a near-zero bin on every third row and column (no peaks) and a white
+spectrum at threshold 3 (hundreds of peaks). Spectra are computed before timing, so only detection is timed.
+Where the timed tree has the tier-1 bound, each set also reports the share
+of bins it keeps for the exact count.
 
     python benchmarks/detect.py                        # time ./src, print only
     python benchmarks/detect.py --src OTHER/src --label parent --json BENCH_5.json
@@ -29,6 +33,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 OFFGRID_SHAPES = ((240, 256), (256, 320), (257, 256))
+REPEATS = 10  # timed passes over each set
 
 
 def bench_spectra(demoire):
@@ -63,37 +68,76 @@ def offgrid_spectra(demoire, h: int, w: int, cases: int = 4):
     return spectra
 
 
-def median_ms(demoire, spectra, repeats: int) -> dict:
-    params = demoire.RepairParams()
-    for spec in spectra:  # warm-up: first-call allocations and imports
-        demoire.detect_peaks(spec, params)
+def lattice_spectrum(demoire, h: int = 256, w: int = 256):
+    data = np.ones((h, w), dtype=complex)
+    data[::3, ::3] = 1e-3  # nearly every 3x3 tile holds one, so tile minima rule out few bins
+    return demoire.Spectrum(data, centered=True)
+
+
+def white_spectrum(demoire, h: int = 256, w: int = 256):
+    rng = np.random.default_rng([h, w])
+    return demoire.Spectrum(rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w)), centered=True)
+
+
+def warm_up(demoire, spectra, params):
+    """One untimed detection per spectrum, which takes first-call allocations
+    and imports out of the timing. Returns the mean share of bins the tier-1
+    count bound keeps, or None if the timed tree has no such bound."""
+    spectral = demoire.spectral
+    count_bound = getattr(spectral, "_count_bound", None)
+    kept = []
+
+    def recording(padded, limit):
+        bound = count_bound(padded, limit)
+        kept.append(np.count_nonzero(bound >= spectral._annulus_footprint().sum() // 2) / bound.size)
+        return bound
+
+    if count_bound is not None:
+        spectral._count_bound = recording
+    try:
+        for spec in spectra:
+            demoire.detect_peaks(spec, params)
+    finally:
+        if count_bound is not None:
+            spectral._count_bound = count_bound
+    return round(float(np.mean(kept)), 4) if kept else None
+
+
+def median_ms(demoire, spectra, threshold: float | None = None) -> dict:
+    params = demoire.RepairParams() if threshold is None else demoire.RepairParams(detect_threshold=threshold)
+    share = warm_up(demoire, spectra, params)
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for spec in spectra:
             started = time.perf_counter()
             demoire.detect_peaks(spec, params)
             samples.append(time.perf_counter() - started)
     q1, q2, q3 = np.percentile(samples, [25, 50, 75]) * 1000.0
-    return {"median_ms": round(q2, 3), "q1_ms": round(q1, 3), "q3_ms": round(q3, 3), "calls": len(samples)}
+    result = {"median_ms": round(q2, 3), "q1_ms": round(q1, 3), "q3_ms": round(q3, 3), "calls": len(samples)}
+    if share is not None:
+        result["tier1_share"] = share
+    return result
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree holding the demoire package")
     parser.add_argument("--label", default="current", help="key of this result in --json")
-    parser.add_argument("--repeats", type=int, default=10, help="timed passes over each set")
     parser.add_argument("--json", help="merge the result into this JSON file")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, args.src)
     import demoire
 
-    result = {"bench 256x256": median_ms(demoire, bench_spectra(demoire), args.repeats)}
+    result = {"bench 256x256": median_ms(demoire, bench_spectra(demoire))}
     for h, w in OFFGRID_SHAPES:
-        result[f"offgrid {h}x{w}"] = median_ms(demoire, offgrid_spectra(demoire, h, w), args.repeats)
+        result[f"offgrid {h}x{w}"] = median_ms(demoire, offgrid_spectra(demoire, h, w))
+    result["lattice 256x256"] = median_ms(demoire, [lattice_spectrum(demoire)])
+    result["white 256x256 threshold 3"] = median_ms(demoire, [white_spectrum(demoire)], threshold=3.0)
     for name, r in result.items():
+        share = f", tier 1 keeps {r['tier1_share']:.1%} of bins" if "tier1_share" in r else ""
         print(f"{args.label}: {name}: detect_peaks {r['median_ms']:.2f} ms/call "
-              f"(IQR {r['q1_ms']:.2f}-{r['q3_ms']:.2f}, {r['calls']} calls)")
+              f"(IQR {r['q1_ms']:.2f}-{r['q3_ms']:.2f}, {r['calls']} calls{share})")
     if args.json:
         path = Path(args.json)
         doc = json.loads(path.read_text()) if path.exists() else {}

@@ -179,7 +179,7 @@ def read_pgm(data: bytes) -> GrayImage:
                 raise PgmError(f"invalid pixel value {token!r} in P2 payload")
             try:
                 flat[i] = int(token)
-            except ValueError:  # more digits than int() converts
+            except (ValueError, OverflowError):  # too many digits for int() or for a float64
                 raise PgmError(f"invalid pixel value of {len(token)} digits in P2 payload") from None
         values = flat
     if values.max(initial=0.0) > maxval:

@@ -66,6 +66,7 @@ def headed_payloads(draw):
 @fixed
 @given(headed_payloads())
 @example(b"P2 1 1 255\n" + b"7" * 5000 + b"\n")
+@example(b"P2 1 1 255\n" + b"7" * 400 + b"\n")
 def test_valid_headers_with_arbitrary_payloads_raise_only_pgm_error(data):
     img = decode_or_pgm_error(data)
     if img is not None:
