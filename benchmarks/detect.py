@@ -1,18 +1,22 @@
 """Median wall time of one ``detect_peaks`` call, per input set.
 
-Six sets: the 24 acceptance-bench cases (the four 256x256 bench images x
+Eight sets: the 24 acceptance-bench cases (the four 256x256 bench images x
 the six on-grid corpus patterns); for each of 240x256, 256x320 and 257x256
 four off-grid cases (filtered-noise textures with two sinusoids 0.37 and 0.29
-bin off the grid); and two 256x256 spectra on which the tier-1 count bound
-of ``spectral._exceeds_background`` rules out few bins: a flat spectrum
-with a near-zero bin on every third row and column (no peaks) and a white
-spectrum at threshold 3 (hundreds of peaks). Spectra are computed before timing, so only detection is timed.
-Where the timed tree has the tier-1 bound, each set also reports the share
-of bins it keeps for the exact count.
+bin off the grid); and 256x256 spectra on which the tier-1 count bound of
+``spectral._exceeds_background`` rules out few bins: a flat spectrum with a
+near-zero bin on every third row and column (no peaks), and a white spectrum
+at thresholds 3, 1.5 and 1.2 (hundreds to thousands of peaks, so greedy
+non-maximum suppression does real work). Spectra are computed before timing,
+so only detection is timed. They are built in dft2d order and centered
+first for a tree whose ``analyze`` returns a centered spectrum, so each tree
+gets the layout its ``detect_peaks`` accepts. Where the timed tree has the
+tier-1 bound, each set also reports the share of bins it keeps for the exact
+count.
 
     python benchmarks/detect.py                        # time ./src, print only
-    python benchmarks/detect.py --src OTHER/src --label parent --json BENCH_5.json
-    python benchmarks/detect.py --label change --json BENCH_5.json
+    python benchmarks/detect.py --src OTHER/src --label parent --json BENCH_6.json
+    python benchmarks/detect.py --label change --json BENCH_6.json
 
 ``--src`` times another source tree, such as a checkout of an earlier commit.
 ``--json`` merges the result under ``--label`` into the file, keeping the
@@ -34,6 +38,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 OFFGRID_SHAPES = ((240, 256), (256, 320), (257, 256))
 REPEATS = 10  # timed passes over each set
+WHITE_THRESHOLDS = (3.0, 1.5, 1.2)
 
 
 def bench_spectra(demoire):
@@ -41,7 +46,7 @@ def bench_spectra(demoire):
     from demoire.synth import default_bench_images
 
     return [
-        demoire.center_shift(demoire.dft2d(demoire.synthesize_moire(img, spec)))
+        demoire.dft2d(demoire.synthesize_moire(img, spec))
         for _, img in default_bench_images(256)
         for _, spec in default_noise_corpus(*img.shape)
     ]
@@ -64,19 +69,19 @@ def offgrid_spectra(demoire, h: int, w: int, cases: int = 4):
         )
         img = make_filtered_field(h, w, sigma=0.7, seed=seed)
         noisy = demoire.synthesize_moire(img, demoire.MoireSpec(comps))
-        spectra.append(demoire.center_shift(demoire.dft2d(noisy)))
+        spectra.append(demoire.dft2d(noisy))
     return spectra
 
 
 def lattice_spectrum(demoire, h: int = 256, w: int = 256):
     data = np.ones((h, w), dtype=complex)
     data[::3, ::3] = 1e-3  # nearly every 3x3 tile holds one, so tile minima rule out few bins
-    return demoire.Spectrum(data, centered=True)
+    return demoire.Spectrum(data)
 
 
 def white_spectrum(demoire, h: int = 256, w: int = 256):
     rng = np.random.default_rng([h, w])
-    return demoire.Spectrum(rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w)), centered=True)
+    return demoire.Spectrum(rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w)))
 
 
 def warm_up(demoire, spectra, params):
@@ -129,11 +134,18 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     import demoire
 
-    result = {"bench 256x256": median_ms(demoire, bench_spectra(demoire))}
+    sets = {"bench 256x256": (bench_spectra(demoire), None)}
     for h, w in OFFGRID_SHAPES:
-        result[f"offgrid {h}x{w}"] = median_ms(demoire, offgrid_spectra(demoire, h, w))
-    result["lattice 256x256"] = median_ms(demoire, [lattice_spectrum(demoire)])
-    result["white 256x256 threshold 3"] = median_ms(demoire, [white_spectrum(demoire)], threshold=3.0)
+        sets[f"offgrid {h}x{w}"] = (offgrid_spectra(demoire, h, w), None)
+    sets["lattice 256x256"] = ([lattice_spectrum(demoire)], None)
+    for threshold in WHITE_THRESHOLDS:
+        sets[f"white 256x256 threshold {threshold:g}"] = ([white_spectrum(demoire)], threshold)
+    probe, _ = demoire.spectral.analyze(demoire.GrayImage(np.zeros((16, 16))), demoire.RepairParams())
+    layout = demoire.center_shift if probe.centered else (lambda spec: spec)
+    result = {
+        name: median_ms(demoire, [layout(spec) for spec in spectra], threshold)
+        for name, (spectra, threshold) in sets.items()
+    }
     for name, r in result.items():
         share = f", tier 1 keeps {r['tier1_share']:.1%} of bins" if "tier1_share" in r else ""
         print(f"{args.label}: {name}: detect_peaks {r['median_ms']:.2f} ms/call "

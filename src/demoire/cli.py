@@ -178,19 +178,19 @@ def cmd_denoise(args) -> int:
         spectral = ", ".join(m for m in ALL_METHODS if METHODS[m].spectral)
         args.parser.error(f"--dump-peaks requires a spectral method ({spectral})")
     img = read_pgm(Path(args.input).read_bytes())
-    centered = None
+    spec = None
     if method.spectral:
         params = _params(method, args)
-        centered, peaks = analyze(img, params)
-        denoised = repair(centered, peaks, method.func, params)
+        spec, peaks = analyze(img, params)
+        denoised = repair(spec, peaks, method.func, params)
         if args.dump_peaks:
             Path(args.dump_peaks).write_text(format_peaks_csv(peaks))
     else:
         denoised = _filter(img, method, _params(method, args))
     if args.dump_spectrum:
-        if centered is None:
-            centered = center_shift(dft2d(img))
-        Path(args.dump_spectrum).write_bytes(write_pgm(log_magnitude(centered)))
+        if spec is None:
+            spec = dft2d(img)
+        Path(args.dump_spectrum).write_bytes(write_pgm(log_magnitude(center_shift(spec))))
     Path(args.output).write_bytes(write_pgm(denoised))
     return 0
 
@@ -233,14 +233,14 @@ def cmd_bench(args) -> int:
             base = psnr(clean, noisy)
             started = time.perf_counter()
             if any(METHODS[m].spectral for m in names):
-                centered, peaks = analyze(noisy, params)
+                spec, peaks = analyze(noisy, params)
             analysis_s = time.perf_counter() - started
             for name in names:
                 method = METHODS[name]
                 # A spectral row's clock includes the analysis its method shares.
                 started = time.perf_counter() - (analysis_s if method.spectral else 0.0)
                 if method.spectral:
-                    denoised = repair(centered, peaks, method.func, params)
+                    denoised = repair(spec, peaks, method.func, params)
                 else:
                     denoised = _filter(noisy, method, _params(method))
                 runtime_ms = (time.perf_counter() - started) * 1000.0 if args.timing else 0.0

@@ -1,4 +1,4 @@
-"""Conjugate impulse detection and repair in a centered spectrum.
+"""Conjugate impulse detection and repair in a periodic spectrum.
 
 A real sinusoid contaminates the spectrum with one Hermitian-mirrored pair of
 impulses. This module finds those pairs against the local spectral background
@@ -6,8 +6,11 @@ and repairs them either by zeroing (ideal notch, the conventional baseline)
 or by re-estimating each contaminated bin from the median of its untouched
 neighbors, which preserves the underlying image content.
 
-All neighborhood geometry (detection annulus, repair disks, donor windows)
-wraps periodically, matching the periodicity of the discrete spectrum.
+Spectra stay in ``dft2d`` order (DC at (0, 0)). All neighborhood geometry
+(detection annulus, repair disks, donor windows) wraps periodically, matching
+the periodicity of the discrete spectrum, so none of it depends on where DC
+sits. Peaks carry centered labels, DC at (H//2, W//2): bin k of an axis of n
+bins is labelled (k + n//2) % n.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import GrayImage
-from .transform import Spectrum, center_shift, dft2d, idft2d
+# perfbench/spans.py wraps center_shift in this module, so it stays importable here.
+from .transform import Spectrum, center_shift, dft2d, idft2d  # noqa: F401
 
 __all__ = [
     "Peak",
@@ -53,8 +57,8 @@ _TILE = 3
 
 
 class Peak(NamedTuple):
-    u: int  # row bin, centered indexing
-    v: int  # column bin, centered indexing
+    u: int  # row bin, centered label: DC at row H//2
+    v: int  # column bin, centered label: DC at column W//2
     magnitude: float
 
 
@@ -119,36 +123,29 @@ class RepairParams:
         return max(8, math.ceil(0.02 * min(height, width)))
 
 
-def _disk_offsets(radius: int) -> list[tuple[int, int]]:
-    return [
-        (du, dv)
-        for du in range(-radius, radius + 1)
-        for dv in range(-radius, radius + 1)
-        if du * du + dv * dv <= radius * radius
-    ]
+def _disk_offsets(radius: int) -> np.ndarray:
+    """(du, dv) rows, row-major: the offsets of the bins within ``radius`` of a bin."""
+    du, dv = np.indices((2 * radius + 1, 2 * radius + 1)).reshape(2, -1) - radius
+    inside = du * du + dv * dv <= radius * radius
+    return np.stack([du[inside], dv[inside]], axis=1)
 
 
-def _mirror_axes(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    # Hermitian partner of centered bin (i, j) is ((2*cu - i) % H, (2*cv - j) % W).
-    cu, cv = h // 2, w // 2
-    mu = (2 * cu - np.arange(h)) % h
-    mv = (2 * cv - np.arange(w)) % w
-    return mu, mv
+def _centered(k, n: int):
+    """Centered label of the dft2d-order index ``k`` on an axis of ``n`` bins."""
+    return (k + n // 2) % n
 
 
-def _toroidal_dist2(u1: int, v1: int, u2: int, v2: int, h: int, w: int) -> int:
-    du = abs(u1 - u2)
-    dv = abs(v1 - v2)
-    du = min(du, h - du)
-    dv = min(dv, w - dv)
-    return du * du + dv * dv
+def _stamp_disks(mask: np.ndarray, u, v, disk: np.ndarray) -> None:
+    """Set the bins at the ``disk`` offsets around each (u, v), wrapping periodically."""
+    h, w = mask.shape
+    mask[(np.reshape(u, (-1, 1)) + disk[:, 0]) % h, (np.reshape(v, (-1, 1)) + disk[:, 1]) % w] = True
 
 
 def _contamination_mask(h: int, w: int, peaks: PeakSet, radius: int) -> np.ndarray:
-    centers = np.array([(p.u, p.v) for p in peaks], dtype=np.intp).reshape(-1, 1, 2)
-    cells = centers + np.array(_disk_offsets(radius), dtype=np.intp)
+    """Bins within ``radius`` of a peak, in dft2d order."""
+    labels = np.array([(p.u, p.v) for p in peaks], dtype=np.intp).reshape(-1, 2)
     mask = np.zeros((h, w), dtype=bool)
-    mask[cells[..., 0] % h, cells[..., 1] % w] = True
+    _stamp_disks(mask, labels[:, 0] - h // 2, labels[:, 1] - w // 2, _disk_offsets(radius))
     return mask
 
 
@@ -263,10 +260,11 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
     then the exact count on the survivors (see ``_exceeds_background``).
     Bins within the DC guard are ignored, non-maximum suppression keeps one
     bin per repair disk, and the result is symmetrized so every peak's
-    Hermitian mirror is present.
+    Hermitian mirror is present. The spectrum is in dft2d order; the peaks
+    carry centered labels.
     """
-    if not spec.centered:
-        raise ValueError("detect_peaks expects a centered spectrum")
+    if spec.centered:
+        raise ValueError("detect_peaks expects a spectrum in dft2d order, not a centered one")
     h, w = spec.shape
     if h < MIN_DETECT_DIM or w < MIN_DETECT_DIM:
         raise ValueError(
@@ -274,48 +272,43 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
             f"annulus; images must be at least {MIN_DETECT_DIM}x{MIN_DETECT_DIM}"
         )
     mag = np.abs(spec.data)
-    cu, cv = h // 2, w // 2
     guard = params.resolved_guard(h, w)
-    uu = (np.arange(h) - cu)[:, np.newaxis]
-    vv = (np.arange(w) - cv)[np.newaxis, :]
-    outside_guard = uu * uu + vv * vv > guard * guard
+    fu = (_centered(np.arange(h), h) - h // 2)[:, np.newaxis]  # signed frequencies
+    fv = (_centered(np.arange(w), w) - w // 2)[np.newaxis, :]
+    outside_guard = fu * fu + fv * fv > guard * guard
     eligible = outside_guard & (mag > MAG_FLOOR_REL * float(mag.max()))
-    exceeds = _exceeds_background(mag, eligible, params.detect_threshold)
-
-    candidates = np.argwhere(exceeds)
-    if candidates.size == 0:
+    u, v = np.nonzero(_exceeds_background(mag, eligible, params.detect_threshold))
+    if u.size == 0:
         return PeakSet(())
 
-    # Greedy non-maximum suppression, strongest first; ties break on (u, v).
-    order = sorted(
-        ((int(u), int(v)) for u, v in candidates),
-        key=lambda b: (-mag[b[0], b[1]], b[0], b[1]),
-    )
-    kept: list[tuple[int, int]] = []
-    r2 = params.repair_radius
-    for u, v in order:
-        if all(_toroidal_dist2(u, v, ku, kv, h, w) > r2 * r2 for ku, kv in kept):
-            kept.append((u, v))
+    # Greedy non-maximum suppression, strongest first; ties break on the
+    # centered labels. A candidate is kept iff no kept peak's repair disk
+    # covers it: the disk is symmetric, so that is the toroidal distance test.
+    order = np.lexsort((_centered(v, w), _centered(u, h), -mag[u, v]))
+    disk = _disk_offsets(params.repair_radius)
+    blocked = np.zeros((h, w), dtype=bool)
+    kept = []
+    for i in order.tolist():
+        if not blocked[u[i], v[i]]:
+            kept.append(i)
+            _stamp_disks(blocked, u[i], v[i], disk)
 
-    mu, mv = _mirror_axes(h, w)
-    complete = set(kept)
-    for u, v in kept:
-        complete.add((int(mu[u]), int(mv[v])))
-    peaks = tuple(
-        Peak(u, v, float(mag[u, v])) for u, v in sorted(complete)
-    )
-    return PeakSet(peaks)
+    # The Hermitian mirror of bin k is -k.
+    rows = np.concatenate([u[kept], -u[kept] % h]).tolist()
+    cols = np.concatenate([v[kept], -v[kept] % w]).tolist()
+    complete = {(_centered(i, h), _centered(j, w)): float(mag[i, j]) for i, j in zip(rows, cols)}
+    return PeakSet(tuple(Peak(i, j, m) for (i, j), m in sorted(complete.items())))
 
 
 def notch_reject(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spectrum:
     """Conventional baseline: zero every bin within repair_radius of a peak."""
-    if not spec.centered:
-        raise ValueError("notch_reject expects a centered spectrum")
+    if spec.centered:
+        raise ValueError("notch_reject expects a spectrum in dft2d order, not a centered one")
     h, w = spec.shape
     mask = _contamination_mask(h, w, peaks, params.repair_radius)
     data = spec.data.copy()
     data[mask] = 0.0
-    return Spectrum(data, centered=True)
+    return Spectrum(data)
 
 
 def _donor_median(
@@ -338,7 +331,7 @@ def _donor_median(
         k = starving[0]
         raise ValueError(
             f"only {counts[k]} uncontaminated donor bins around spectrum bin "
-            f"({u[k]}, {v[k]}); increase window above {window}"
+            f"({_centered(u[k], h)}, {_centered(v[k], w)}); increase window above {window}"
         )
     donors = np.where(poisoned, np.inf, mag[rows, cols].reshape(len(u), -1))
     donors.sort(axis=1)
@@ -360,16 +353,18 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     the conjugate mirror then pins Hermitian symmetry exactly. Bins outside
     all repair disks are returned bit-identical.
     """
-    if not spec.centered:
-        raise ValueError("spectral_median expects a centered spectrum")
+    if spec.centered:
+        raise ValueError("spectral_median expects a spectrum in dft2d order, not a centered one")
     h, w = spec.shape
     if len(peaks) == 0:
-        return Spectrum(spec.data, centered=True)
+        return spec
     mask = _contamination_mask(h, w, peaks, params.repair_radius)
     src = spec.data
     mag = np.abs(src)
     repaired = src.copy()
+    # Centered row-major order: a donor shortage names the first bin by its label.
     bins = np.argwhere(mask)
+    bins = bins[np.lexsort((_centered(bins[:, 1], w), _centered(bins[:, 0], h)))]
     chunk = max(1, _GATHER_LIMIT // (params.window * params.window))
     for i0 in range(0, len(bins), chunk):
         u, v = bins[i0 : i0 + chunk].T
@@ -380,24 +375,24 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
         scale = np.hypot(value.real, value.imag)
         unit = np.divide(value, scale, out=np.ones_like(value), where=scale > 0.0)
         repaired[u, v] = estimate * unit
-    mu, mv = _mirror_axes(h, w)
-    symmetric = 0.5 * (repaired + np.conj(repaired[np.ix_(mu, mv)]))
+    mirror = np.ix_(-np.arange(h) % h, -np.arange(w) % w)
+    symmetric = 0.5 * (repaired + np.conj(repaired[mirror]))
     out = np.where(mask, symmetric, src)
-    return Spectrum(out, centered=True)
+    return Spectrum(out)
 
 
 def analyze(img: GrayImage, params: RepairParams) -> tuple[Spectrum, PeakSet]:
     """Transform and detect; one analysis can feed a ``repair`` per method."""
-    centered = center_shift(dft2d(img))
-    return centered, detect_peaks(centered, params)
+    spec = dft2d(img)
+    return spec, detect_peaks(spec, params)
 
 
-def repair(centered: Spectrum, peaks: PeakSet, method: str, params: RepairParams) -> GrayImage:
+def repair(spec: Spectrum, peaks: PeakSet, method: str, params: RepairParams) -> GrayImage:
     """Repair the detected bins ("notch" or "median") and invert to an image."""
     if method not in ("notch", "median"):
         raise ValueError(f"unknown repair method {method!r}: expected 'notch' or 'median'")
     step = notch_reject if method == "notch" else spectral_median
-    return idft2d(center_shift(step(centered, peaks, params)))
+    return idft2d(step(spec, peaks, params))
 
 
 def denoise_moire(
@@ -406,8 +401,8 @@ def denoise_moire(
     """Full pipeline: ``analyze``, then ``repair`` with "notch" or "median"."""
     if params is None:
         params = RepairParams()
-    centered, peaks = analyze(img, params)
-    return repair(centered, peaks, method, params), peaks
+    spec, peaks = analyze(img, params)
+    return repair(spec, peaks, method, params), peaks
 
 
 def format_peaks_csv(peaks: PeakSet) -> str:

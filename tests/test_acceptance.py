@@ -25,7 +25,6 @@ from demoire import (
     TvParams,
     anisotropic_diffusion,
     bilateral_filter,
-    center_shift,
     detect_peaks,
     dft2d,
     edge_conductance,
@@ -264,15 +263,15 @@ def tv_denoise_ref(img: GrayImage, p: TvParams) -> GrayImage:
 def test_criterion_6_ground_truth_spectral_checks():
     base = GrayImage(np.full((64, 64), 128.0))
     noisy = synthesize_moire(base, MoireSpec((MoireComponent(20.0, 12 / 64, 0.0, 0.0),)))
-    peaks = detect_peaks(center_shift(dft2d(noisy)), RepairParams())
+    peaks = detect_peaks(dft2d(noisy), RepairParams())
     found = sorted((p.u, p.v) for p in peaks)
     exact_pair = found == [(20, 32), (44, 32)]
 
     x = np.arange(64)[:, None]
     pure = GrayImage(np.broadcast_to(np.sin(2 * np.pi * 12 * x / 64), (64, 64)).copy())
-    spec = center_shift(dft2d(pure))
+    spec = dft2d(pure)
     pure_peaks = detect_peaks(spec, RepairParams())
-    residual = idft2d(center_shift(notch_reject(spec, pure_peaks, RepairParams())))
+    residual = idft2d(notch_reject(spec, pure_peaks, RepairParams()))
     notch_resid = float(np.max(np.abs(residual.pixels)))
 
     ok = exact_pair and notch_resid < 1e-6

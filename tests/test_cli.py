@@ -116,6 +116,16 @@ class TestAddNoise:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_spec_field_named(self, tmp_path, constant_image, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("nan,0.1,0.1,0\n")
+        rc = main(
+            ["add-noise", "--in", str(constant_image), "--out", str(tmp_path / "x.pgm"), "--noise-spec", str(bad)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: moire amplitude must be finite, got nan\n"
+        assert not (tmp_path / "x.pgm").exists()
+
 
 class TestDenoise:
     def test_spectral_median_dumps_true_peaks(self, tmp_path, constant_image, moire_spec_file):
@@ -156,6 +166,26 @@ class TestDenoise:
         assert main([*argv, "--dump-spectrum", str(spectrum_pgm)]) == 0
         assert len(calls) == 1
         assert spectrum_pgm.read_bytes() == write_pgm(log_magnitude(center_shift(dft2d(img))))
+
+    def test_center_shift_only_for_spectrum_dump(self, tmp_path, monkeypatch):
+        # The pipeline keeps dft2d order; only the spectrum dump centres.
+        rng = np.random.default_rng(4)
+        noisy = synthesize_moire(GrayImage(128.0 + 12.0 * rng.standard_normal((32, 48))),
+                                 MoireSpec((MoireComponent(25.0, 0.25, 0.125, 0.3),)))
+        images = tmp_path / "images"
+        images.mkdir()
+        src = images / "in.pgm"
+        src.write_bytes(write_pgm(noisy))
+        calls = []
+        for module in (demoire.cli, demoire.spectral):
+            monkeypatch.setattr(module, "center_shift", lambda x: calls.append(1) or center_shift(x))
+        argv = ["denoise", "--in", str(src), "--out", str(tmp_path / "out.pgm")]
+        for method in ("notch", "spectral-median"):
+            assert main([*argv, "--method", method]) == 0
+        assert main(["bench", "--images", str(images), "--out", str(tmp_path / "b.csv")]) == 0
+        assert len(calls) == 0
+        assert main([*argv, "--method", "notch", "--dump-spectrum", str(tmp_path / "spectrum.pgm")]) == 0
+        assert len(calls) == 1
 
     def test_notch_on_clean_image_round_trips(self, tmp_path, constant_image):
         out = tmp_path / "out.pgm"

@@ -18,6 +18,8 @@ from demoire import (
     GrayImage,
     MoireComponent,
     MoireSpec,
+    Peak,
+    PeakSet,
     RepairParams,
     Spectrum,
     center_shift,
@@ -62,10 +64,6 @@ def reference_detect(spec, params, monkeypatch):
         return detect_peaks(spec, params)
 
 
-def centered(img):
-    return center_shift(dft2d(img))
-
-
 def assert_same_detection(spec, params, monkeypatch):
     got = detect_peaks(spec, params)
     assert got == reference_detect(spec, params, monkeypatch)
@@ -78,7 +76,7 @@ def assert_same_detection(spec, params, monkeypatch):
 def test_bench_corpus_identical(img, monkeypatch):
     params = RepairParams()
     for _, spec in default_noise_corpus(*img.shape):
-        peaks = assert_same_detection(centered(synthesize_moire(img, spec)), params, monkeypatch)
+        peaks = assert_same_detection(dft2d(synthesize_moire(img, spec)), params, monkeypatch)
         assert len(peaks) >= 2
 
 
@@ -96,7 +94,7 @@ def test_off_bin_sinusoids_identical(shape, seed, monkeypatch):
         )
         for _ in range(2)
     )
-    spec = centered(synthesize_moire(img, MoireSpec(comps)))
+    spec = dft2d(synthesize_moire(img, MoireSpec(comps)))
     params = RepairParams()
     exceeding = spectral._exceeds_background(np.abs(spec.data), np.ones(shape, bool), 10.0)
     assert np.count_nonzero(exceeding) > 20  # leakage makes many bins exceed
@@ -108,7 +106,7 @@ def test_exceeds_mask_identical_off_bin():
     noisy = synthesize_moire(
         img, MoireSpec((MoireComponent(25.0, 40.4 / 257, 31.7 / 256, 0.5),))
     )
-    mag = np.abs(centered(noisy).data)
+    mag = np.abs(dft2d(noisy).data)
     background = reference_background(mag).astype(np.float64)
     everywhere = np.ones(mag.shape, dtype=bool)
     for threshold in (2.0, 10.0, 37.5):
@@ -120,7 +118,7 @@ def test_plateau_with_spike_ties(monkeypatch):
     data = np.full((64, 64), 5.0, dtype=complex)
     data[32 + 12, 32 + 3] = 500.0
     data[32 - 12, 32 - 3] = 500.0
-    spec = Spectrum(data, centered=True)
+    spec = center_shift(Spectrum(data, centered=True))
     peaks = assert_same_detection(spec, RepairParams(), monkeypatch)
     assert sorted((p.u, p.v) for p in peaks) == [(20, 29), (44, 35)]
 
@@ -130,18 +128,18 @@ def test_bin_exactly_at_threshold_does_not_exceed(monkeypatch):
     data = np.full((64, 64), 4.0, dtype=complex)
     data[32 + 12, 32 + 3] = 40.0
     data[32 - 12, 32 - 3] = 40.0
-    spec = Spectrum(data, centered=True)
+    spec = center_shift(Spectrum(data, centered=True))
     assert len(assert_same_detection(spec, RepairParams(), monkeypatch)) == 0
     data[32 + 12, 32 + 3] = np.nextafter(40.0, np.inf)
     data[32 - 12, 32 - 3] = np.nextafter(40.0, np.inf)
-    peaks = assert_same_detection(Spectrum(data, centered=True), RepairParams(), monkeypatch)
+    peaks = assert_same_detection(center_shift(Spectrum(data, centered=True)), RepairParams(), monkeypatch)
     assert len(peaks) == 2
 
 
 def test_wrapping_annulus_at_minimum_size(monkeypatch):
     img = GrayImage(np.full((16, 16), 120.0))
     noisy = synthesize_moire(img, MoireSpec((MoireComponent(30.0, 6 / 16, 6 / 16, 0.2),)))
-    peaks = assert_same_detection(centered(noisy), RepairParams(), monkeypatch)
+    peaks = assert_same_detection(dft2d(noisy), RepairParams(), monkeypatch)
     assert sorted((p.u, p.v) for p in peaks) == [(2, 2), (14, 14)]
     textured = synthesize_moire(
         make_filtered_field(16, 16, sigma=0.7, seed=3),
@@ -149,7 +147,7 @@ def test_wrapping_annulus_at_minimum_size(monkeypatch):
     )
     for threshold in (2.0, 10.0):
         assert_same_detection(
-            centered(textured), RepairParams(detect_threshold=threshold), monkeypatch
+            dft2d(textured), RepairParams(detect_threshold=threshold), monkeypatch
         )
 
 
@@ -198,7 +196,7 @@ def test_count_bound_never_below_exact_count(shape, seed, sparse):
 def test_chunked_gathers_identical(gather_limit, monkeypatch):
     img = make_filtered_field(64, 64, sigma=0.7, seed=5)
     noisy = synthesize_moire(img, MoireSpec((MoireComponent(25.0, 20.4 / 64, 13.7 / 64, 0.5),)))
-    spec = centered(noisy)
+    spec = dft2d(noisy)
     params = RepairParams(detect_threshold=2.0)
     bounds = []
     count_bound = spectral._count_bound
@@ -214,10 +212,64 @@ def test_chunked_gathers_identical(gather_limit, monkeypatch):
 def test_survivor_heavy_white_spectrum_identical(shape, threshold, surviving, monkeypatch):
     rng = np.random.default_rng(shape[0] + shape[1])
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    spec = Spectrum(data, centered=True)
+    spec = center_shift(Spectrum(data, centered=True))
     bound = spectral._count_bound(
         np.pad(np.abs(data).astype(np.float32), spectral.ANNULUS_SIZE // 2, mode="wrap"),
         (np.abs(data) / threshold).astype(np.float32),
     )
     assert np.count_nonzero(bound >= 208) >= surviving * data.size
     assert_same_detection(spec, RepairParams(detect_threshold=threshold), monkeypatch)
+
+
+def pairwise_detect(spec, params):
+    """Detection with greedy NMS as a pairwise loop, in centered order.
+
+    Candidates, strongest first with ties on (u, v), are kept iff their
+    toroidal distance to every kept peak exceeds repair_radius; the kept
+    peaks' Hermitian mirrors are then added.
+    """
+    data = center_shift(spec).data
+    h, w = data.shape
+    cu, cv = h // 2, w // 2
+    mag = np.abs(data)
+    uu = (np.arange(h) - cu)[:, np.newaxis]
+    vv = (np.arange(w) - cv)[np.newaxis, :]
+    guard = params.resolved_guard(h, w)
+    eligible = (uu * uu + vv * vv > guard * guard) & (mag > spectral.MAG_FLOOR_REL * mag.max())
+    exceeds = reference_exceeds(mag, eligible, params.detect_threshold)
+    order = sorted(map(tuple, np.argwhere(exceeds).tolist()), key=lambda b: (-mag[b], b))
+
+    def dist2(a, b):
+        du, dv = abs(a[0] - b[0]), abs(a[1] - b[1])
+        return min(du, h - du) ** 2 + min(dv, w - dv) ** 2
+
+    kept = []
+    for b in order:
+        if all(dist2(b, k) > params.repair_radius**2 for k in kept):
+            kept.append(b)
+    bins = set(kept) | {((2 * cu - u) % h, (2 * cv - v) % w) for u, v in kept}
+    return PeakSet(tuple(Peak(u, v, float(mag[u, v])) for u, v in sorted(bins)))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (63, 65)])
+@pytest.mark.parametrize("threshold,radius", [(1.2, 3), (2.0, 3), (1.5, 33)])
+def test_nms_matches_pairwise_loop_on_white_spectra(shape, threshold, radius):
+    # White noise at low thresholds gives hundreds of candidates; a radius
+    # of at least half the side makes every repair disk wrap onto itself.
+    spec = dft2d(GrayImage(np.random.default_rng(shape[0] * shape[1]).standard_normal(shape)))
+    params = RepairParams(detect_threshold=threshold, repair_radius=radius, window=2 * radius + 3)
+    candidates = np.count_nonzero(spectral._exceeds_background(np.abs(spec.data), np.ones(shape, bool), threshold))
+    got = detect_peaks(spec, params)
+    assert 0 < len(got) < candidates
+    assert got == pairwise_detect(spec, params)
+
+
+def test_nms_ties_break_on_centered_labels():
+    # Equal spikes two rows apart across the wrap of dft2d order: rows 31 and
+    # 33 are rows 63 and 1 there, and the centered label 31 goes first.
+    data = np.full((64, 64), 5.0, dtype=complex)
+    data[31, 20] = data[33, 20] = 500.0
+    spec = center_shift(Spectrum(data, centered=True))
+    peaks = detect_peaks(spec, RepairParams())
+    assert peaks == pairwise_detect(spec, RepairParams())
+    assert [(p.u, p.v) for p in peaks] == [(31, 20), (33, 44)]

@@ -75,6 +75,13 @@ class TestSynthesizeMoire:
         with pytest.raises(ValueError, match="amplitude"):
             MoireSpec((MoireComponent(-1.0, 0.1, 0.0, 0.0),))
 
+    @pytest.mark.parametrize("field", MoireComponent._fields)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_field(self, field, value):
+        comp = MoireComponent(1.0, 0.1, 0.1, 0.0)._replace(**{field: value})
+        with pytest.raises(ValueError, match=f"^moire {field} must be finite"):
+            MoireSpec((comp,))
+
     def test_input_untouched(self):
         img = GrayImage(np.zeros((16, 16)))
         synthesize_moire(img, MoireSpec((MoireComponent(9.0, 0.25, 0.0, 0.0),)))

@@ -23,10 +23,6 @@ from demoire import (
 from demoire.synth import make_filtered_field
 
 
-def centered_spectrum_of(img: GrayImage) -> Spectrum:
-    return center_shift(dft2d(img))
-
-
 def paired_peaks(h, w, offsets, mag=1.0):
     """Build a conjugate-complete PeakSet from centered offsets."""
     cu, cv = h // 2, w // 2
@@ -66,13 +62,13 @@ class TestRepairParams:
 
 class TestDetectPeaks:
     def test_clean_constant_image_gives_empty_set(self):
-        spec = centered_spectrum_of(GrayImage(np.full((64, 64), 128.0)))
+        spec = dft2d(GrayImage(np.full((64, 64), 128.0)))
         assert len(detect_peaks(spec, RepairParams())) == 0
 
     def test_single_sinusoid_gives_exactly_one_pair(self):
         img = GrayImage(np.full((64, 64), 128.0))
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 2 / 64, 0.0, 0.0),)))
-        peaks = detect_peaks(centered_spectrum_of(noisy), RepairParams(guard_dc_radius=1))
+        peaks = detect_peaks(dft2d(noisy), RepairParams(guard_dc_radius=1))
         assert sorted((p.u, p.v) for p in peaks) == [(30, 32), (34, 32)]
         for p in peaks:
             assert p.magnitude == pytest.approx(20.0 * 64 * 64 / 2.0, rel=1e-6)
@@ -86,14 +82,14 @@ class TestDetectPeaks:
             )
         )
         noisy = synthesize_moire(img, spec)
-        peaks = detect_peaks(centered_spectrum_of(noisy), RepairParams(guard_dc_radius=4))
+        peaks = detect_peaks(dft2d(noisy), RepairParams(guard_dc_radius=4))
         offsets = sorted((p.u - 32, p.v - 32) for p in peaks)
         assert offsets == [(-9, 3), (-5, -7), (5, 7), (9, -3)]
 
     def test_mirrors_always_present(self):
         img = make_filtered_field(64, 64, sigma=1.2, seed=5)
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 0.0, 0.0),)))
-        peaks = detect_peaks(centered_spectrum_of(noisy), RepairParams())
+        peaks = detect_peaks(dft2d(noisy), RepairParams())
         bins = {(p.u, p.v) for p in peaks}
         for u, v in bins:
             assert ((64 - u) % 64, (64 - v) % 64) in bins
@@ -102,46 +98,52 @@ class TestDetectPeaks:
         img = GrayImage(np.full((64, 64), 128.0))
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 2 / 64, 0.0, 0.0),)))
         # Default guard radius is 8; the pair at distance 2 must be ignored.
-        peaks = detect_peaks(centered_spectrum_of(noisy), RepairParams())
+        peaks = detect_peaks(dft2d(noisy), RepairParams())
         assert len(peaks) == 0
 
-    def test_requires_centered_spectrum(self):
-        with pytest.raises(ValueError, match="centered"):
-            detect_peaks(dft2d(GrayImage(np.zeros((32, 32)))), RepairParams())
+    def test_rejects_centered_spectrum(self):
+        spec = center_shift(dft2d(GrayImage(np.zeros((32, 32)))))
+        peaks = paired_peaks(32, 32, [(10, 4)])
+        with pytest.raises(ValueError, match="detect_peaks expects a spectrum in dft2d order"):
+            detect_peaks(spec, RepairParams())
+        with pytest.raises(ValueError, match="notch_reject expects a spectrum in dft2d order"):
+            notch_reject(spec, peaks, RepairParams())
+        with pytest.raises(ValueError, match="spectral_median expects a spectrum in dft2d order"):
+            spectral_median(spec, peaks, RepairParams())
 
     def test_rejects_tiny_spectrum(self):
-        spec = centered_spectrum_of(GrayImage(np.zeros((8, 8))))
+        spec = dft2d(GrayImage(np.zeros((8, 8))))
         with pytest.raises(ValueError, match="at least 16x16"):
             detect_peaks(spec, RepairParams())
 
 
 class TestNotchReject:
     def test_empty_peakset_is_identity(self):
-        spec = centered_spectrum_of(GrayImage(np.arange(256.0).reshape(16, 16)))
+        spec = dft2d(GrayImage(np.arange(256.0).reshape(16, 16)))
         out = notch_reject(spec, PeakSet(), RepairParams())
         assert np.array_equal(out.data, spec.data)
 
     def test_pure_sinusoid_fully_removed(self):
         x = np.arange(64)[:, None]
         img = GrayImage(np.broadcast_to(np.sin(2 * np.pi * 12 * x / 64), (64, 64)).copy())
-        spec = centered_spectrum_of(img)
+        spec = dft2d(img)
         peaks = detect_peaks(spec, RepairParams())
         assert len(peaks) == 2
-        out = idft2d(center_shift(notch_reject(spec, peaks, RepairParams())))
+        out = idft2d(notch_reject(spec, peaks, RepairParams()))
         assert np.max(np.abs(out.pixels)) < 1e-6
 
     def test_energy_never_increases(self):
         rng = np.random.default_rng(17)
         img = GrayImage(rng.random((32, 32)) * 255)
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(25.0, 10 / 32, 0.0, 0.0),)))
-        spec = centered_spectrum_of(noisy)
+        spec = dft2d(noisy)
         peaks = detect_peaks(spec, RepairParams())
         out = notch_reject(spec, peaks, RepairParams())
         assert np.sum(np.abs(out.data) ** 2) <= np.sum(np.abs(spec.data) ** 2)
 
     def test_untouched_bins_bit_identical(self):
         img = make_filtered_field(32, 32, sigma=1.2, seed=3)
-        spec = centered_spectrum_of(img)
+        spec = dft2d(img)
         peaks = paired_peaks(32, 32, [(10, 4)])
         out = notch_reject(spec, peaks, RepairParams())
         zeroed = out.data == 0.0
@@ -152,7 +154,7 @@ class TestNotchReject:
 
 class TestSpectralMedian:
     def test_empty_peakset_is_identity(self):
-        spec = centered_spectrum_of(GrayImage(np.arange(256.0).reshape(16, 16)))
+        spec = dft2d(GrayImage(np.arange(256.0).reshape(16, 16)))
         out = spectral_median(spec, PeakSet(), RepairParams())
         assert np.array_equal(out.data, spec.data)
 
@@ -161,7 +163,7 @@ class TestSpectralMedian:
         data[16 + 5, 16] = 1e9
         data[16 - 5, 16] = 1e9
         peaks = paired_peaks(32, 32, [(5, 0)], mag=1e9)
-        out = spectral_median(Spectrum(data, centered=True), peaks, RepairParams())
+        out = spectral_median(center_shift(Spectrum(data, centered=True)), peaks, RepairParams())
         assert np.allclose(out.data, 3.0, atol=1e-9)
 
     def test_poisoned_bins_never_donate(self):
@@ -176,15 +178,17 @@ class TestSpectralMedian:
                 if du * du + dv * dv <= 9:
                     poisoned[cu + 9 + du, cv + 5 + dv] = 1e30
                     poisoned[cu - 9 - du, cv - 5 - dv] = 1e30
-        out = spectral_median(Spectrum(poisoned, centered=True), peaks, RepairParams())
+        out = spectral_median(center_shift(Spectrum(poisoned, centered=True)), peaks, RepairParams())
         assert np.max(np.abs(out.data)) < 1e3
 
     def test_untouched_bins_bit_identical(self):
         img = make_filtered_field(32, 32, sigma=1.2, seed=4)
-        spec = centered_spectrum_of(img)
+        spec = dft2d(img)
         peaks = paired_peaks(32, 32, [(10, 4)])
         params = RepairParams()
-        out = spectral_median(spec, peaks, params)
+        # Peaks carry centered labels, so compare in centered order.
+        out = center_shift(spectral_median(spec, peaks, params))
+        spec = center_shift(spec)
         changed = out.data != spec.data
         # every changed bin lies within repair_radius of a peak (wrap metric)
         for i, j in np.argwhere(changed):
@@ -200,15 +204,15 @@ class TestSpectralMedian:
     def test_output_is_hermitian(self):
         img = make_filtered_field(64, 64, sigma=1.2, seed=5)
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 0.0, 0.0),)))
-        spec = centered_spectrum_of(noisy)
+        spec = dft2d(noisy)
         peaks = detect_peaks(spec, RepairParams())
         out = spectral_median(spec, peaks, RepairParams())
-        data = center_shift(out).data
+        data = out.data
         mirrored = np.conj(data[(-np.arange(64)) % 64][:, (-np.arange(64)) % 64])
         assert np.max(np.abs(data - mirrored)) <= 1e-9 * np.max(np.abs(data))
 
     def test_donor_starvation_raises(self):
-        spec = centered_spectrum_of(GrayImage(np.full((32, 32), 50.0)))
+        spec = dft2d(GrayImage(np.full((32, 32), 50.0)))
         dense = [(du, dv) for du in range(4, 12) for dv in range(-4, 5)]
         peaks = paired_peaks(32, 32, dense)
         with pytest.raises(ValueError, match="increase window"):
@@ -217,7 +221,7 @@ class TestSpectralMedian:
     def test_deterministic(self):
         img = make_filtered_field(64, 64, sigma=1.2, seed=6)
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 0.0, 0.0),)))
-        spec = centered_spectrum_of(noisy)
+        spec = dft2d(noisy)
         peaks = detect_peaks(spec, RepairParams())
         a = spectral_median(spec, peaks, RepairParams())
         b = spectral_median(spec, peaks, RepairParams())
@@ -255,12 +259,12 @@ class TestSpectralMedianReference:
     def test_matches_per_bin_loop_off_bin(self, window, radius):
         img = make_filtered_field(97, 80, sigma=1.2, seed=8)
         comps = (MoireComponent(25.0, 20.4 / 97, 13.7 / 80, 0.4), MoireComponent(15.0, 31.3 / 97, -9.6 / 80, 1.1))
-        spec = centered_spectrum_of(synthesize_moire(img, MoireSpec(comps)))
+        spec = dft2d(synthesize_moire(img, MoireSpec(comps)))
         params = RepairParams(window=window, repair_radius=radius)
         peaks = detect_peaks(spec, params)
         assert len(peaks) > 4
-        got = spectral_median(spec, peaks, params).data
-        assert np.array_equal(got, loop_spectral_median(spec, peaks, params))
+        got = center_shift(spectral_median(spec, peaks, params)).data
+        assert np.array_equal(got, loop_spectral_median(center_shift(spec), peaks, params))
 
     def test_matches_per_bin_loop_with_zero_bins(self):
         # Zero-magnitude bins keep the estimate as a real value; even donor
@@ -269,11 +273,11 @@ class TestSpectralMedianReference:
         data[::3, ::2] = np.arange(1, 177).reshape(11, 16) * (1 + 1j)
         peaks = paired_peaks(32, 32, [(5, 2), (7, 9)])
         params = RepairParams(window=5, repair_radius=1)
-        got = spectral_median(Spectrum(data, centered=True), peaks, params).data
+        got = center_shift(spectral_median(center_shift(Spectrum(data, centered=True)), peaks, params)).data
         assert np.array_equal(got, loop_spectral_median(Spectrum(data, centered=True), peaks, params))
 
     def test_starvation_names_first_bin(self):
-        spec = centered_spectrum_of(GrayImage(np.full((32, 32), 50.0)))
+        spec = dft2d(GrayImage(np.full((32, 32), 50.0)))
         dense = [(du, dv) for du in range(4, 12) for dv in range(-4, 5)]
         expected = r"^only 2 uncontaminated donor bins around spectrum bin \(6, 14\); increase window above 9$"
         with pytest.raises(ValueError, match=expected):

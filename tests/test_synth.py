@@ -1,6 +1,6 @@
 import numpy as np
 
-from demoire import RepairParams, center_shift, detect_peaks, dft2d
+from demoire import RepairParams, detect_peaks, dft2d
 from demoire.synth import (
     default_bench_images,
     make_checkerboard,
@@ -39,5 +39,5 @@ def test_bench_images_deterministic():
 def test_bench_images_clean_of_detectable_impulses():
     # The bench corpus must not trip the detector before noise is added.
     for _, img in default_bench_images(256):
-        peaks = detect_peaks(center_shift(dft2d(img)), RepairParams())
+        peaks = detect_peaks(dft2d(img), RepairParams())
         assert len(peaks) == 0
