@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,14 @@ __all__ = [
 PEAK_VALUE = 255.0
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+
+# Byte classes of the P2 payload tokenizer.
+_SEPARATOR, _DIGIT, _OTHER = 0, 1, 2
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(_WHITESPACE)] = _SEPARATOR
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_DECIMAL = [str(v) for v in range(256)]  # P2 text of each 8-bit value
 
 
 class PgmError(ValueError):
@@ -128,11 +137,62 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise PgmError(f"invalid {what} in PGM header: {len(token)} digits") from None
 
 
+def _decode_p2_payload(payload: bytes, count: int) -> np.ndarray:
+    # A comment separates like whitespace: it also ends a token it touches.
+    payload = _COMMENT.sub(b" ", payload)
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    kind = np.take(_BYTE_CLASS, raw)
+    in_token = np.zeros(len(raw) + 2, dtype=bool)  # padded with a separator at each end
+    np.not_equal(kind, _SEPARATOR, out=in_token[1:-1])
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    found = min(len(starts), count)
+    # The first non-digit byte lies in the first token that is not a digit run.
+    other = kind == _OTHER
+    first_other = int(other.argmax())
+    bad = found
+    if other[first_other]:
+        bad = min(found, int(np.searchsorted(starts, first_other, side="right")) - 1)
+    starts, ends = starts[:found], ends[:found]
+    length = ends - starts
+    # A token's value from its last three digits; a digit place before a
+    # token's start is masked out. Longer tokens are converted by int() below.
+    small = np.zeros(found, dtype=np.int16)
+    for place, scale in ((1, 1), (2, 10), (3, 100)):
+        digit = np.take(raw, ends - place, mode="clip").astype(np.int16) - 48
+        digit *= length >= place
+        small += digit * scale
+    values = small.astype(np.float64)
+    for i in np.flatnonzero(length[:bad] > 3):
+        token = payload[starts[i] : ends[i]]
+        try:
+            values[i] = int(token)
+        except (ValueError, OverflowError):  # too many digits for int() or for a float64
+            raise PgmError(f"invalid pixel value of {len(token)} digits in P2 payload") from None
+    if bad < found:
+        raise PgmError(f"invalid pixel value {payload[starts[bad] : ends[bad]]!r} in P2 payload")
+    if found < count:
+        raise PgmError(f"truncated PGM payload: expected {count} pixel values, found {found}")
+    return values
+
+
 def read_pgm(data: bytes) -> GrayImage:
     """Decode a P2 (ASCII) or P5 (binary) PGM byte sequence.
 
     Only 8-bit files (maxval <= 255) are supported. Pixel values are kept
     as-is; they already lie in [0, 255].
+
+    The header is read token by token; a P2 payload is tokenized with array
+    operations over all its bytes. Whitespace is space, tab, LF, CR, VT and
+    FF. A ``#`` starts a comment that runs to the next CR or LF and separates
+    like whitespace, so ``b"12#c\\n34"`` is two pixels. Only the first
+    width*height tokens are read; whatever follows them is ignored. Before
+    anything is allocated, the payload must hold at least two bytes per
+    pixel. Then the first of those tokens that fails decides the error: one
+    that is not a run of ASCII digits, or one with too many digits for
+    ``int()`` or a float64. If none fails and there are fewer tokens than
+    pixels, the payload is truncated. Values above ``maxval`` are rejected
+    last.
     """
     data = bytes(data)
     magic, pos = _next_token(data, 0)
@@ -167,21 +227,7 @@ def read_pgm(data: bytes) -> GrayImage:
                 f"truncated PGM payload: expected {count} pixel values, "
                 f"found {len(data) - pos} bytes"
             )
-        flat = np.empty(count, dtype=np.float64)
-        for i in range(count):
-            try:
-                token, pos = _next_token(data, pos)
-            except PgmError:
-                raise PgmError(
-                    f"truncated PGM payload: expected {count} pixel values, found {i}"
-                ) from None
-            if not token.isdigit():
-                raise PgmError(f"invalid pixel value {token!r} in P2 payload")
-            try:
-                flat[i] = int(token)
-            except (ValueError, OverflowError):  # too many digits for int() or for a float64
-                raise PgmError(f"invalid pixel value of {len(token)} digits in P2 payload") from None
-        values = flat
+        values = _decode_p2_payload(data[pos:], count)
     if values.max(initial=0.0) > maxval:
         raise PgmError(f"pixel value exceeds declared maxval {maxval}")
     return GrayImage(values.reshape(height, width))
@@ -203,5 +249,5 @@ def write_pgm(img: GrayImage, fmt: str = "binary") -> bytes:
         header = f"P5\n{img.width} {img.height}\n255\n"
         return header.encode("ascii") + q.tobytes()
     header = f"P2\n{img.width} {img.height}\n255\n"
-    body = "\n".join(" ".join(str(int(v)) for v in row) for row in q)
+    body = "\n".join(" ".join([_DECIMAL[v] for v in row]) for row in q.tolist())
     return (header + body + "\n").encode("ascii")

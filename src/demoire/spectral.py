@@ -375,10 +375,10 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
         scale = np.hypot(value.real, value.imag)
         unit = np.divide(value, scale, out=np.ones_like(value), where=scale > 0.0)
         repaired[u, v] = estimate * unit
-    mirror = np.ix_(-np.arange(h) % h, -np.arange(w) % w)
-    symmetric = 0.5 * (repaired + np.conj(repaired[mirror]))
-    out = np.where(mask, symmetric, src)
-    return Spectrum(out)
+    # Only the repaired bins change; both sides are read before either is written.
+    u, v = bins.T
+    repaired[u, v] = 0.5 * (repaired[u, v] + np.conj(repaired[-u % h, -v % w]))
+    return Spectrum(repaired)
 
 
 def analyze(img: GrayImage, params: RepairParams) -> tuple[Spectrum, PeakSet]:

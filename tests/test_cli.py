@@ -292,6 +292,42 @@ class TestDenoise:
         assert not (tmp_path / "x.pgm").exists()
 
 
+HOSTILE_PGMS = {
+    "bad-magic": b"P7\n2 2\n255\n0 1 2 3\n",
+    "truncated-p2": b"P2\n2 2\n255\n0 1 2\n\n\n\n",
+    "non-digit-pixel": b"P2\n2 1\n255\n12 x4\n",
+    "over-long-token": b"P2\n1 1\n255\n" + b"7" * 400 + b"\n",
+    "above-maxval": b"P2\n2 1\n100\n12 200\n",
+    "forged-header": b"P2\n1000000 1000000\n255\n0 1 2\n",
+}
+
+
+class TestHostileInput:
+    """Every command fails on bad PGM data with exit 1 and one error line."""
+
+    @pytest.fixture(params=sorted(HOSTILE_PGMS))
+    def hostile(self, request, tmp_path):
+        src = tmp_path / "images" / f"{request.param}.pgm"
+        src.parent.mkdir()
+        src.write_bytes(HOSTILE_PGMS[request.param])
+        return src
+
+    @pytest.mark.parametrize("command", ["denoise", "psnr", "bench"])
+    def test_exit_1_with_one_error_line(self, command, hostile, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = {
+            "denoise": ["denoise", "--in", str(hostile), "--out", str(out), "--method", "median"],
+            "psnr": ["psnr", "--ref", str(hostile), "--test", str(hostile)],
+            "bench": ["bench", "--images", str(hostile.parent), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+
 class TestPsnr:
     def test_identical_prints_inf(self, constant_image, capsys):
         rc = main(["psnr", "--ref", str(constant_image), "--test", str(constant_image)])
