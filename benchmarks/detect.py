@@ -7,35 +7,26 @@ bin off the grid); and 256x256 spectra on which the tier-1 count bound of
 ``spectral._exceeds_background`` rules out few bins: a flat spectrum with a
 near-zero bin on every third row and column (no peaks), and a white spectrum
 at thresholds 3, 1.5 and 1.2 (hundreds to thousands of peaks, so greedy
-non-maximum suppression does real work). Spectra are computed before timing,
-so only detection is timed. They are built in dft2d order and centered
-first for a tree whose ``analyze`` returns a centered spectrum, so each tree
-gets the layout its ``detect_peaks`` accepts. Where the timed tree has the
-tier-1 bound, each set also reports the share of bins it keeps for the exact
-count.
+non-maximum suppression does real work). Spectra are computed in dft2d
+order before timing, so only detection is timed. Where the timed tree has
+the tier-1 bound, each set also reports the share of bins it keeps for the
+exact count.
 
     python benchmarks/detect.py                        # time ./src, print only
     python benchmarks/detect.py --src OTHER/src --label parent --json BENCH_6.json
     python benchmarks/detect.py --label change --json BENCH_6.json
 
-``--src`` times another source tree, such as a checkout of an earlier commit.
-``--json`` merges the result under ``--label`` into the file, keeping the
-labels already there, so one file can hold a before/after pair.
+The options are those of ``benchmarks/harness.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
 import time
-from pathlib import Path
 
+import harness
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
 OFFGRID_SHAPES = ((240, 256), (256, 320), (257, 256))
 REPEATS = 10  # timed passes over each set
 WHITE_THRESHOLDS = (3.0, 1.5, 1.2)
@@ -117,21 +108,14 @@ def median_ms(demoire, spectra, threshold: float | None = None) -> dict:
             started = time.perf_counter()
             demoire.detect_peaks(spec, params)
             samples.append(time.perf_counter() - started)
-    q1, q2, q3 = np.percentile(samples, [25, 50, 75]) * 1000.0
-    result = {"median_ms": round(q2, 3), "q1_ms": round(q1, 3), "q3_ms": round(q3, 3), "calls": len(samples)}
+    result = harness.quartiles_ms(samples)
     if share is not None:
         result["tier1_share"] = share
     return result
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--src", default=str(ROOT / "src"), help="source tree holding the demoire package")
-    parser.add_argument("--label", default="current", help="key of this result in --json")
-    parser.add_argument("--json", help="merge the result into this JSON file")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, args.src)
+    args = harness.parse_args(__doc__, argv)
     import demoire
 
     sets = {"bench 256x256": (bench_spectra(demoire), None)}
@@ -140,24 +124,11 @@ def main(argv=None) -> int:
     sets["lattice 256x256"] = ([lattice_spectrum(demoire)], None)
     for threshold in WHITE_THRESHOLDS:
         sets[f"white 256x256 threshold {threshold:g}"] = ([white_spectrum(demoire)], threshold)
-    probe, _ = demoire.spectral.analyze(demoire.GrayImage(np.zeros((16, 16))), demoire.RepairParams())
-    layout = demoire.center_shift if probe.centered else (lambda spec: spec)
-    result = {
-        name: median_ms(demoire, [layout(spec) for spec in spectra], threshold)
-        for name, (spectra, threshold) in sets.items()
-    }
+    result = {name: median_ms(demoire, spectra, threshold) for name, (spectra, threshold) in sets.items()}
     for name, r in result.items():
         share = f", tier 1 keeps {r['tier1_share']:.1%} of bins" if "tier1_share" in r else ""
-        print(f"{args.label}: {name}: detect_peaks {r['median_ms']:.2f} ms/call "
-              f"(IQR {r['q1_ms']:.2f}-{r['q3_ms']:.2f}, {r['calls']} calls{share})")
-    if args.json:
-        path = Path(args.json)
-        doc = json.loads(path.read_text()) if path.exists() else {}
-        doc.setdefault("host", {}).update(
-            cpus=os.cpu_count(), machine=platform.machine(), python=platform.python_version(), numpy=np.__version__
-        )
-        doc.setdefault("results", {})[args.label] = result
-        path.write_text(json.dumps(doc, indent=1) + "\n")
+        print(harness.describe(args.label, f"{name}: detect_peaks", r) + share)
+    harness.save(args, result)
     return 0
 
 

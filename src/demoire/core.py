@@ -29,6 +29,7 @@ _BYTE_CLASS[list(_WHITESPACE)] = _SEPARATOR
 _BYTE_CLASS[list(b"0123456789")] = _DIGIT
 _COMMENT = re.compile(rb"#[^\r\n]*")
 _DECIMAL = [str(v) for v in range(256)]  # P2 text of each 8-bit value
+_OVERFLOW_DIGITS = 309  # digits of the shortest pixel token that can overflow a float64
 
 
 class PgmError(ValueError):
@@ -81,7 +82,6 @@ class QualityReport:
 
     mse: float
     psnr_db: float | None
-    peak_value: float = PEAK_VALUE
 
     def psnr_label(self) -> str:
         return "inf" if self.psnr_db is None else f"{self.psnr_db:.2f}"
@@ -156,14 +156,25 @@ def _decode_p2_payload(payload: bytes, count: int) -> np.ndarray:
     starts, ends = starts[:found], ends[:found]
     length = ends - starts
     # A token's value from its last three digits; a digit place before a
-    # token's start is masked out. Longer tokens are converted by int() below.
+    # token's start is masked out.
     small = np.zeros(found, dtype=np.int16)
     for place, scale in ((1, 1), (2, 10), (3, 100)):
         digit = np.take(raw, ends - place, mode="clip").astype(np.int16) - 48
         digit *= length >= place
         small += digit * scale
     values = small.astype(np.float64)
-    for i in np.flatnonzero(length[:bad] > 3):
+    # A longer digit token is its last three digits when the digits before
+    # them are all "0", and at least 1000 (above any maxval) otherwise; each
+    # pass reads one more digit place of the tokens that reach it. From
+    # _OVERFLOW_DIGITS digits on, int() converts a token and decides whether
+    # it fails.
+    longer = np.flatnonzero(length[:bad] > 3)
+    for place in range(4, _OVERFLOW_DIGITS):
+        if not longer.size:
+            break
+        values[longer[raw[ends[longer] - place] > ord("0")]] = 1000.0
+        longer = longer[length[longer] > place]
+    for i in longer:
         token = payload[starts[i] : ends[i]]
         try:
             values[i] = int(token)
@@ -192,7 +203,8 @@ def read_pgm(data: bytes) -> GrayImage:
     that is not a run of ASCII digits, or one with too many digits for
     ``int()`` or a float64. If none fails and there are fewer tokens than
     pixels, the payload is truncated. Values above ``maxval`` are rejected
-    last.
+    last. Zero-padded tokens such as ``0042`` are decoded by the same array
+    operations; only tokens of 309 or more digits go through ``int()``.
     """
     data = bytes(data)
     magic, pos = _next_token(data, 0)

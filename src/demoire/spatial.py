@@ -32,6 +32,16 @@ __all__ = [
     "tv_energy",
 ]
 
+# Window values the global mode filter bins and sorts per block of rows, so
+# its peak memory depends on this, not on the image height.
+_MODE_BLOCK_VALUES = 1 << 16
+
+
+def _require_finite(owner: str, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner} {name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class MedianParams:
@@ -50,6 +60,7 @@ class BilateralParams:
     def __post_init__(self):
         if self.sigma_s <= 0 or self.sigma_r <= 0:
             raise ValueError(f"bilateral sigmas must be positive, got {self.sigma_s}, {self.sigma_r}")
+        _require_finite("bilateral", sigma_s=self.sigma_s, sigma_r=self.sigma_r)
 
     @property
     def radius(self) -> int:
@@ -67,6 +78,7 @@ class DiffusionParams:
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError(f"diffusion K must be positive, got {self.k}")
+        _require_finite("diffusion", k=self.k)  # the range check below rejects a non-finite lam
         if not 0.0 < self.lam <= 0.25:
             raise ValueError(f"diffusion lambda must lie in (0, 0.25], got {self.lam}")
         if self.iterations < 0:
@@ -85,6 +97,7 @@ class TvParams:
     def __post_init__(self):
         if self.lam <= 0 or self.step <= 0 or self.epsilon <= 0:
             raise ValueError("TV lambda, step, and epsilon must all be positive")
+        _require_finite("TV", lam=self.lam, step=self.step, epsilon=self.epsilon)
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 
@@ -98,6 +111,7 @@ class NlmParams:
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError(f"NLM h must be positive, got {self.h}")
+        _require_finite("NLM", h=self.h)
         if self.patch_radius < 1:
             raise ValueError(f"patch_radius must be >= 1, got {self.patch_radius}")
         if self.search_radius < self.patch_radius:
@@ -112,6 +126,27 @@ def median_filter(img: GrayImage, p: MedianParams) -> GrayImage:
     padded = np.pad(img.pixels, half, mode="edge")
     windows = sliding_window_view(padded, (p.window, p.window))
     return GrayImage(np.median(windows, axis=(2, 3)))
+
+
+def _global_mode(windows: np.ndarray, center: np.ndarray, bin_width: float) -> np.ndarray:
+    # Each pixel's window offsets from its center, binned and sorted, so equal
+    # bins form runs. A value's depth in its run is its index minus the run's
+    # start; only the most populated bins reach the deepest depth, once each.
+    c = center[..., np.newaxis]
+    bins = np.subtract(windows, c[..., np.newaxis]).reshape(*center.shape, -1)
+    bins /= bin_width
+    np.round(bins, out=bins)
+    bins.sort(axis=-1)
+    index = np.arange(bins.shape[-1])
+    run_start = np.zeros(bins.shape, dtype=np.intp)
+    np.multiply(bins[..., 1:] != bins[..., :-1], index[1:], out=run_start[..., 1:])
+    depth = index - np.maximum.accumulate(run_start, axis=-1)
+    modal = depth == depth.max(axis=-1, keepdims=True)
+    # Tie break: nearest to the center pixel, then the lower bin.
+    centers = c + bins * bin_width
+    dist = np.where(modal, np.abs(centers - c), np.inf)
+    nearest = modal & (dist == dist.min(axis=-1, keepdims=True))
+    return np.where(nearest, centers, np.inf).min(axis=-1)
 
 
 def mode_filter(
@@ -130,28 +165,22 @@ def mode_filter(
         raise ValueError(f"mode window must be an odd integer >= 3, got {window}")
     if bin_width <= 0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
+    _require_finite("mode", bin_width=bin_width)
     if mode_kind not in ("global", "local"):
         raise ValueError(f"mode_kind must be 'global' or 'local', got {mode_kind!r}")
     h, w = img.shape
     half = window // 2
     padded = np.pad(img.pixels, half, mode="edge")
-    windows = sliding_window_view(padded, (window, window)).reshape(h, w, -1)
+    view = sliding_window_view(padded, (window, window))
 
     if mode_kind == "global":
         out = np.empty((h, w))
-        for i in range(h):
-            for j in range(w):
-                center = img.pixels[i, j]
-                values = windows[i, j]
-                bins = np.round((values - center) / bin_width)
-                uniq, counts = np.unique(bins, return_counts=True)
-                best = counts.max()
-                centers = center + uniq[counts == best] * bin_width
-                # Tie break: nearest to the center pixel, then the lower bin.
-                dist = np.abs(centers - center)
-                out[i, j] = centers[np.lexsort((centers, dist))[0]]
+        rows = max(1, _MODE_BLOCK_VALUES // (w * window * window))
+        for i0 in range(0, h, rows):
+            out[i0 : i0 + rows] = _global_mode(view[i0 : i0 + rows], img.pixels[i0 : i0 + rows], bin_width)
         return GrayImage(out)
 
+    windows = view.reshape(h, w, -1)
     est = img.pixels.copy()
     active = np.ones((h, w), dtype=bool)
     for _ in range(50):

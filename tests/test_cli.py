@@ -282,6 +282,33 @@ class TestDenoise:
         assert "16x16" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "method, flag, value, field",
+        [
+            ("bilateral", "--sigma-s", "inf", "sigma_s"),
+            ("bilateral", "--sigma-s", "nan", "sigma_s"),
+            ("bilateral", "--sigma-r", "inf", "sigma_r"),
+            ("mode", "--bin-width", "nan", "bin_width"),
+            ("mode", "--bin-width", "inf", "bin_width"),
+            ("diffusion", "--k", "nan", "k"),
+            ("tv", "--tv-lambda", "nan", "lam"),
+            ("tv", "--step", "inf", "step"),
+            ("tv", "--epsilon", "nan", "epsilon"),
+            ("nlm", "--h", "inf", "h"),
+        ],
+    )
+    def test_non_finite_spatial_parameter_named(self, tmp_path, constant_image, capsys, method, flag, value, field):
+        out = tmp_path / "x.pgm"
+        rc = main(["denoise", "--in", str(constant_image), "--out", str(out), "--method", method, flag, value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith(f" {field} must be finite, got {value}")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_huge_p2_header_fails_cleanly(self, tmp_path, capsys):
         src = tmp_path / "forged.pgm"
         src.write_bytes(b"P2\n1000000 1000000\n255\n0 1 2\n")

@@ -178,5 +178,12 @@ def outcome(decode, data: bytes):
 @example(b"P2 3 1 255\n" + b"7" * 400 + b" x 1\n")  # the first failing token wins
 @example(b"P2 3 1 9\n12 x 1\n")  # the maxval check comes last
 @example(b"P2 2 2 255\n12#c\n34#\r5\x0b\x0c0006 x\xff")  # comments end tokens; trailing garbage
+@example(b"P2 2 1 255\n" + b"0" * 305 + b"255 7\n")  # 308 digits, zero-padded
+@example(b"P2 2 1 255\n" + b"9" * 308 + b" 7\n")  # 308 digits: fits a float64, above maxval
+@example(b"P2 2 1 255\n" + b"0" * 306 + b"128 7\n")  # 309 digits, zero-padded
+@example(b"P2 2 1 255\n" + b"1" + b"0" * 308 + b" 7\n")  # 309 digits: 1e308 fits, above maxval
+@example(b"P2 2 1 255\n" + b"9" * 309 + b" 7\n")  # 309 digits: overflows a float64
+@example(b"P2 2 1 255\n" + b"0" * 307 + b"001 7\n")  # 310 digits, zero-padded
+@example(b"P2 2 1 255\n" + b"1" + b"0" * 309 + b" 7\n")  # 310 digits: overflows a float64
 def test_p2_decoder_matches_reference(data):
     assert outcome(read_pgm, data) == outcome(reference_read_pgm, data)

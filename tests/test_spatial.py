@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+import demoire.spatial
 from demoire import (
     BilateralParams,
     DiffusionParams,
@@ -33,6 +35,27 @@ def sort_median_oracle(pixels, window):
         for j in range(w):
             block = padded[i : i + window, j : j + window].ravel()
             out[i, j] = sorted(block)[(window * window) // 2]
+    return out
+
+
+def global_mode_oracle(pixels, window, bin_width):
+    # Per-pixel histogram: np.unique counts, np.lexsort breaks count ties.
+    h, w = pixels.shape
+    half = window // 2
+    padded = np.pad(pixels, half, mode="edge")
+    windows = sliding_window_view(padded, (window, window)).reshape(h, w, -1)
+    out = np.empty((h, w))
+    for i in range(h):
+        for j in range(w):
+            center = pixels[i, j]
+            values = windows[i, j]
+            bins = np.round((values - center) / bin_width)
+            uniq, counts = np.unique(bins, return_counts=True)
+            best = counts.max()
+            centers = center + uniq[counts == best] * bin_width
+            # Tie break: nearest to the center pixel, then the lower bin.
+            dist = np.abs(centers - center)
+            out[i, j] = centers[np.lexsort((centers, dist))[0]]
     return out
 
 
@@ -158,6 +181,39 @@ class TestModeFilter:
             mode_filter(img, 3, "global", 0.0)
         with pytest.raises(ValueError, match="mode_kind"):
             mode_filter(img, 3, "median", 8.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9), (11, 6), (13, 13)])
+    @pytest.mark.parametrize("window", [3, 5, 7, 9])
+    def test_global_matches_per_pixel_oracle(self, shape, window):
+        rng = np.random.default_rng([*shape, window])
+        plateaus = np.repeat(rng.integers(0, 2, (shape[0], 1)) * 9.0, shape[1], axis=1)
+        cases = [
+            rng.integers(0, 3, shape) * 10.0,  # few levels: count ties everywhere
+            np.where((plateaus == 0.0) & (rng.random(shape) < 0.5), -0.0, plateaus),  # signed zeros
+            np.full(shape, -0.0),
+            rng.random(shape) * 255.0,
+            np.round(rng.normal(128.0, 12.0, shape)),
+        ]
+        for pixels in cases:
+            for bin_width in (0.3, 1.0, 4.0, 8.0, 16.0, 40.0):
+                got = mode_filter(GrayImage(pixels), window, "global", bin_width).pixels
+                assert np.array_equal(got, global_mode_oracle(pixels, window, bin_width))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_global_row_blocks(self, monkeypatch, rows):
+        # Blocks of 1 and 3 rows: every block boundary of the 11-row image is crossed.
+        rng = np.random.default_rng(15)
+        pixels = rng.integers(0, 4, (11, 8)) * 7.0 + rng.random((11, 8))
+        for window in (3, 5, 9):
+            monkeypatch.setattr(demoire.spatial, "_MODE_BLOCK_VALUES", rows * 8 * window * window)
+            for bin_width in (0.3, 8.0, 40.0):
+                got = mode_filter(GrayImage(pixels), window, "global", bin_width).pixels
+                assert np.array_equal(got, global_mode_oracle(pixels, window, bin_width))
+
+    @pytest.mark.parametrize("bin_width", [float("nan"), float("inf")])
+    def test_rejects_non_finite_bin_width(self, bin_width):
+        with pytest.raises(ValueError, match=r"mode bin_width must be finite"):
+            mode_filter(GrayImage(np.zeros((4, 4))), 3, "global", bin_width)
 
     def test_output_within_neighborhood_range(self):
         rng = np.random.default_rng(14)
@@ -345,3 +401,28 @@ class TestNlmDenoise:
         out = nlm_denoise(img, NlmParams(10.0, 1, 2))
         assert out.pixels.min() >= img.pixels.min() - 1e-9
         assert out.pixels.max() <= img.pixels.max() + 1e-9
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        (BilateralParams, "sigma_s"),
+        (BilateralParams, "sigma_r"),
+        (DiffusionParams, "k"),
+        (TvParams, "lam"),
+        (TvParams, "step"),
+        (TvParams, "epsilon"),
+        (NlmParams, "h"),
+    ],
+)
+def test_params_reject_non_finite_field(params, field, value):
+    with pytest.raises(ValueError, match=rf" {field} must be finite, got {value}$"):
+        params(**{field: value})
+
+
+def test_negative_infinity_keeps_positivity_error():
+    with pytest.raises(ValueError, match="bilateral sigmas must be positive"):
+        BilateralParams(sigma_s=float("-inf"))
+    with pytest.raises(ValueError, match="bin_width must be positive"):
+        mode_filter(GrayImage(np.zeros((4, 4))), 3, "global", float("-inf"))
