@@ -32,8 +32,8 @@ __all__ = [
     "tv_energy",
 ]
 
-# Window values the global mode filter bins and sorts per block of rows, so
-# its peak memory depends on this, not on the image height.
+# Window values the mode filter holds per block of rows, so its peak memory
+# depends on this, not on the image height.
 _MODE_BLOCK_VALUES = 1 << 16
 
 
@@ -149,6 +149,26 @@ def _global_mode(windows: np.ndarray, center: np.ndarray, bin_width: float) -> n
     return np.where(nearest, centers, np.inf).min(axis=-1)
 
 
+def _local_mode(windows: np.ndarray, center: np.ndarray, bin_width: float) -> np.ndarray:
+    # Banded mean-shift per pixel; pixels stop moving independently.
+    windows = windows.reshape(*center.shape, -1)
+    est = center.copy()
+    active = np.ones(center.shape, dtype=bool)
+    for _ in range(50):
+        if not active.any():
+            break
+        vals = windows[active]
+        current = est[active][:, np.newaxis]
+        in_band = np.abs(vals - current) <= bin_width
+        counts = in_band.sum(axis=1)
+        sums = np.where(in_band, vals, 0.0).sum(axis=1)
+        updated = np.where(counts > 0, sums / np.maximum(counts, 1), est[active])
+        moved = np.abs(updated - est[active])
+        est[active] = updated
+        active[active] = moved >= 1e-3
+    return est
+
+
 def mode_filter(
     img: GrayImage, window: int = 3, mode_kind: str = "local", bin_width: float = 8.0
 ) -> GrayImage:
@@ -173,52 +193,83 @@ def mode_filter(
     padded = np.pad(img.pixels, half, mode="edge")
     view = sliding_window_view(padded, (window, window))
 
-    if mode_kind == "global":
-        out = np.empty((h, w))
-        rows = max(1, _MODE_BLOCK_VALUES // (w * window * window))
-        for i0 in range(0, h, rows):
-            out[i0 : i0 + rows] = _global_mode(view[i0 : i0 + rows], img.pixels[i0 : i0 + rows], bin_width)
-        return GrayImage(out)
-
-    windows = view.reshape(h, w, -1)
-    est = img.pixels.copy()
-    active = np.ones((h, w), dtype=bool)
-    for _ in range(50):
-        if not active.any():
-            break
-        vals = windows[active]
-        current = est[active][:, np.newaxis]
-        in_band = np.abs(vals - current) <= bin_width
-        counts = in_band.sum(axis=1)
-        sums = np.where(in_band, vals, 0.0).sum(axis=1)
-        updated = np.where(counts > 0, sums / np.maximum(counts, 1), est[active])
-        moved = np.abs(updated - est[active])
-        est[active] = updated
-        active[active] = moved >= 1e-3
-    return GrayImage(est)
+    mode = _global_mode if mode_kind == "global" else _local_mode
+    out = np.empty((h, w))
+    rows = max(1, _MODE_BLOCK_VALUES // (w * window * window))
+    for i0 in range(0, h, rows):
+        out[i0 : i0 + rows] = mode(view[i0 : i0 + rows], img.pixels[i0 : i0 + rows], bin_width)
+    return GrayImage(out)
 
 
 def gauss_weight(x, sigma: float):
     """Gaussian kernel (1/(2*pi*sigma^2)) * exp(-x^2 / (2*sigma^2))."""
     x = np.asarray(x, dtype=np.float64)
-    return np.exp(-(x * x) / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
+    # In place on one array; dividing by -(2 sigma^2) is exactly negating first.
+    g = np.multiply(x, x, out=np.empty_like(x))
+    g /= -(2.0 * sigma * sigma)
+    np.exp(g, out=g)
+    g /= 2.0 * math.pi * sigma * sigma
+    return g if g.ndim else g[()]
+
+
+def _half_offsets(radius: int):
+    """One offset d = (du, dv) of each pair d, -d in the window: du > 0, or du == 0 and dv > 0."""
+    for du in range(radius + 1):
+        for dv in range(-radius if du else 1, radius + 1):
+            yield du, dv
+
+
+def _pair_windows(padded: np.ndarray, pad: int, shape: tuple[int, int], du: int, dv: int):
+    """Values at p and at p + d over the pixels p for which p or p + d lies in the image.
+
+    Both windows are (h + du) x (w + |dv|). ``padded`` is the h x w image
+    padded by ``pad``, at least the largest |du| and |dv|.
+    """
+    h, w = shape
+    pos, neg = max(dv, 0), max(-dv, 0)
+    near = padded[pad - du : pad + h, pad - pos : pad + w + neg]
+    far = padded[pad : pad + h + du, pad - neg : pad + w + pos]
+    return near, far
+
+
+def _add_pair(num: np.ndarray, den: np.ndarray, wgt: np.ndarray, near: np.ndarray, far: np.ndarray, du: int, dv: int):
+    """Add each pair's weight to both of its pixels, each with the other's value.
+
+    ``wgt``, ``near`` and ``far`` span the windows of :func:`_pair_windows`:
+    p lies in the image on the last h rows and at columns max(dv, 0) on,
+    q = p + d on the first h rows and at columns max(-dv, 0) on.
+    """
+    h, w = num.shape
+    pos, neg = max(dv, 0), max(-dv, 0)
+    at_p = np.s_[du : du + h, pos : pos + w]
+    at_q = np.s_[:h, neg : neg + w]
+    num += wgt[at_p] * far[at_p]
+    den += wgt[at_p]
+    num += wgt[at_q] * near[at_q]
+    den += wgt[at_q]
 
 
 def bilateral_filter(img: GrayImage, p: BilateralParams) -> GrayImage:
-    """Edge-preserving weighted mean: spatial closeness times range similarity."""
+    """Edge-preserving weighted mean: spatial closeness times range similarity.
+
+    The weight of a pixel pair is symmetric: ws(|d|) is, and (a - b)^2 equals
+    (b - a)^2 in IEEE arithmetic. So each pair (p, p + d) is weighed once, for
+    half the window's offsets, and its weight is added at both pixels; the
+    zero offset starts the sums. The weights are the same numbers as a pass
+    over every offset computes; only the order of the sums differs.
+    """
     r = p.radius
-    h, w = img.shape
     base = img.pixels
     padded = np.pad(base, r, mode="edge")
-    num = np.zeros((h, w))
-    den = np.zeros((h, w))
-    for du in range(-r, r + 1):
-        for dv in range(-r, r + 1):
-            ws = float(gauss_weight(math.hypot(du, dv), p.sigma_s))
-            shifted = padded[r + du : r + du + h, r + dv : r + dv + w]
-            wgt = ws * gauss_weight(base - shifted, p.sigma_r)
-            num += wgt * shifted
-            den += wgt
+    wgt0 = float(gauss_weight(0.0, p.sigma_s)) * float(gauss_weight(0.0, p.sigma_r))
+    num = wgt0 * base
+    den = np.full(img.shape, wgt0)
+    for du, dv in _half_offsets(r):
+        ws = float(gauss_weight(math.hypot(du, dv), p.sigma_s))
+        near, far = _pair_windows(padded, r, img.shape, du, dv)
+        wgt = gauss_weight(near - far, p.sigma_r)
+        wgt *= ws
+        _add_pair(num, den, wgt, near, far, du, dv)
     return GrayImage(num / den)
 
 
@@ -279,15 +330,28 @@ def tv_denoise(img: GrayImage, p: TvParams) -> GrayImage:
     """Fixed-step gradient descent on the epsilon-regularized TV objective."""
     u0 = img.pixels
     u = u0.copy()
+    # gx's last column and gy's last row stay 0 (Neumann); px, py are
+    # computed in place over gx, gy and div doubles as scratch.
+    gx, gy = np.zeros_like(u), np.zeros_like(u)
+    mag, div = np.empty_like(u), np.empty_like(u)
+    eps2 = p.epsilon * p.epsilon
     for _ in range(p.iterations):
-        gx, gy = _forward_diff(u)
-        mag = np.sqrt(gx * gx + gy * gy + p.epsilon * p.epsilon)
-        px = gx / mag
-        py = gy / mag
-        div = px + py
+        np.subtract(u[:, 1:], u[:, :-1], out=gx[:, :-1])
+        np.subtract(u[1:, :], u[:-1, :], out=gy[:-1, :])
+        np.multiply(gx, gx, out=mag)
+        mag += np.multiply(gy, gy, out=div)
+        mag += eps2
+        np.sqrt(mag, out=mag)
+        px = np.divide(gx, mag, out=gx)
+        py = np.divide(gy, mag, out=gy)
+        np.add(px, py, out=div)
         div[:, 1:] -= px[:, :-1]
         div[1:, :] -= py[:-1, :]
-        u = u - p.step * (-div + p.lam * (u - u0))
+        grad = np.subtract(u, u0, out=mag)
+        grad *= p.lam
+        grad += np.negative(div, out=div)
+        grad *= p.step
+        u -= grad
     return GrayImage(u)
 
 
@@ -300,10 +364,27 @@ def _patch_kernel(radius: int) -> np.ndarray:
     return k1 / k1.sum()
 
 
+def _conv_valid_1d(arr: np.ndarray, k1: np.ndarray, axis: int) -> np.ndarray:
+    # k1[t] == k1[n-1-t] exactly, so each pair of taps shares one multiply.
+    n = len(k1)
+    c = n // 2
+    m = arr.shape[axis] - n + 1
+
+    def tap(t):
+        return arr[t : t + m] if axis == 0 else arr[:, t : t + m]
+
+    out = tap(c) * k1[c]
+    pair = np.empty_like(out)
+    for t in range(c):
+        np.add(tap(t), tap(n - 1 - t), out=pair)
+        pair *= k1[t]
+        out += pair
+    return out
+
+
 def _conv_valid_sep(arr: np.ndarray, k1: np.ndarray) -> np.ndarray:
     # Kernel is symmetric, so correlation equals convolution.
-    rows = sliding_window_view(arr, len(k1), axis=0) @ k1
-    return sliding_window_view(rows, len(k1), axis=1) @ k1
+    return _conv_valid_1d(_conv_valid_1d(arr, k1, 0), k1, 1)
 
 
 def nlm_denoise(img: GrayImage, p: NlmParams) -> GrayImage:
@@ -312,20 +393,27 @@ def nlm_denoise(img: GrayImage, p: NlmParams) -> GrayImage:
     w(p,q) = exp(-D(p,q)/h^2) / Z(p), where D is the Gaussian-weighted
     (sigma = patch_radius/2) mean squared patch difference; Z normalizes the
     weights to sum to 1.
+
+    D is symmetric, D(p, p+d) = D(p+d, p), and so is its computed value: the
+    squared differences are equal in IEEE arithmetic and the patch sum adds
+    the same terms in the same order. So each pair is weighed once, for half
+    the search offsets (Darbon et al., ISBI 2008), and its weight is added at
+    both pixels; the zero offset, weight exp(0) = 1, starts the sums.
     """
     pr, sr = p.patch_radius, p.search_radius
     h, w = img.shape
     big = np.pad(img.pixels, sr + pr, mode="edge")
-    ref = big[sr : sr + h + 2 * pr, sr : sr + w + 2 * pr]
     k1 = _patch_kernel(pr)
     h2 = p.h * p.h
-    num = np.zeros((h, w))
-    den = np.zeros((h, w))
-    for du in range(-sr, sr + 1):
-        for dv in range(-sr, sr + 1):
-            cand = big[sr + du : sr + du + h + 2 * pr, sr + dv : sr + dv + w + 2 * pr]
-            dist = _conv_valid_sep((ref - cand) ** 2, k1)
-            wgt = np.exp(-dist / h2)
-            num += wgt * cand[pr : pr + h, pr : pr + w]
-            den += wgt
+    num = img.pixels.copy()
+    den = np.ones(img.shape)
+    for du, dv in _half_offsets(sr):
+        # The same windows over the image grown by pr hold the patches.
+        near_patch, far_patch = _pair_windows(big, sr, (h + 2 * pr, w + 2 * pr), du, dv)
+        sq = np.subtract(near_patch, far_patch)
+        dist = _conv_valid_sep(np.multiply(sq, sq, out=sq), k1)
+        # In place, with dist / -h2 == -dist / h2 exactly.
+        wgt = np.exp(np.divide(dist, -h2, out=dist), out=dist)
+        near, far = _pair_windows(big, sr + pr, img.shape, du, dv)
+        _add_pair(num, den, wgt, near, far, du, dv)
     return GrayImage(num / den)

@@ -28,6 +28,10 @@ from demoire import (
     write_pgm,
 )
 from demoire.cli import main
+from demoire.noise import default_noise_corpus
+from demoire.synth import default_bench_images
+
+from test_spatial import bilateral_full_offsets, nlm_full_offsets, tv_iterated_steps
 
 
 def write_image(path, pixels):
@@ -353,6 +357,35 @@ class TestHostileInput:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def moire_bench_inputs(tmp_path_factory):
+    # Two 256x256 bench images, each with a corpus pattern, as PGM files.
+    root = tmp_path_factory.mktemp("moire-bench")
+    images = default_bench_images(256)
+    corpus = default_noise_corpus(256, 256)
+    paths = []
+    for k, (name, clean) in enumerate((images[0], images[2])):
+        path = root / f"{name}.pgm"
+        path.write_bytes(write_pgm(synthesize_moire(clean, corpus[k][1])))
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "method, reference",
+    [
+        pytest.param("nlm", lambda img: nlm_full_offsets(img, NlmParams()), id="nlm"),
+        pytest.param("bilateral", lambda img: bilateral_full_offsets(img, BilateralParams()), id="bilateral"),
+        pytest.param("tv", lambda img: tv_iterated_steps(img, TvParams()), id="tv"),
+    ],
+)
+def test_spatial_denoise_bytes_match_reference_loops(tmp_path, moire_bench_inputs, method, reference):
+    for src in moire_bench_inputs:
+        out = tmp_path / f"{src.stem}-{method}.pgm"
+        assert main(["denoise", "--in", str(src), "--out", str(out), "--method", method]) == 0
+        assert out.read_bytes() == write_pgm(GrayImage(reference(read_pgm(src.read_bytes()))))
 
 
 class TestPsnr:

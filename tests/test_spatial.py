@@ -59,6 +59,97 @@ def global_mode_oracle(pixels, window, bin_width):
     return out
 
 
+def local_mode_reference(img, window, bin_width):
+    # The mean-shift over the whole-plane window stack, before row blocks.
+    h, w = img.shape
+    half = window // 2
+    padded = np.pad(img.pixels, half, mode="edge")
+    view = sliding_window_view(padded, (window, window))
+    windows = view.reshape(h, w, -1)
+    est = img.pixels.copy()
+    active = np.ones((h, w), dtype=bool)
+    for _ in range(50):
+        if not active.any():
+            break
+        vals = windows[active]
+        current = est[active][:, np.newaxis]
+        in_band = np.abs(vals - current) <= bin_width
+        counts = in_band.sum(axis=1)
+        sums = np.where(in_band, vals, 0.0).sum(axis=1)
+        updated = np.where(counts > 0, sums / np.maximum(counts, 1), est[active])
+        moved = np.abs(updated - est[active])
+        est[active] = updated
+        active[active] = moved >= 1e-3
+    return est
+
+
+def gauss_weight_reference(x, sigma):
+    # The kernel as one out-of-place expression.
+    x = np.asarray(x, dtype=np.float64)
+    return np.exp(-(x * x) / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
+
+
+def bilateral_full_offsets(img, p: BilateralParams):
+    # Every window offset, each pixel pair weighed from both sides.
+    r = p.radius
+    h, w = img.shape
+    base = img.pixels
+    padded = np.pad(base, r, mode="edge")
+    num = np.zeros((h, w))
+    den = np.zeros((h, w))
+    for du in range(-r, r + 1):
+        for dv in range(-r, r + 1):
+            ws = float(gauss_weight_reference(math.hypot(du, dv), p.sigma_s))
+            shifted = padded[r + du : r + du + h, r + dv : r + dv + w]
+            wgt = ws * gauss_weight_reference(base - shifted, p.sigma_r)
+            num += wgt * shifted
+            den += wgt
+    return num / den
+
+
+def _conv_valid_sep_dot(arr, k1):
+    # Kernel is symmetric, so correlation equals convolution.
+    rows = sliding_window_view(arr, len(k1), axis=0) @ k1
+    return sliding_window_view(rows, len(k1), axis=1) @ k1
+
+
+def nlm_full_offsets(img, p: NlmParams):
+    # Every search offset, each pixel pair weighed from both sides.
+    pr, sr = p.patch_radius, p.search_radius
+    h, w = img.shape
+    big = np.pad(img.pixels, sr + pr, mode="edge")
+    ref = big[sr : sr + h + 2 * pr, sr : sr + w + 2 * pr]
+    k1 = demoire.spatial._patch_kernel(pr)
+    h2 = p.h * p.h
+    num = np.zeros((h, w))
+    den = np.zeros((h, w))
+    for du in range(-sr, sr + 1):
+        for dv in range(-sr, sr + 1):
+            cand = big[sr + du : sr + du + h + 2 * pr, sr + dv : sr + dv + w + 2 * pr]
+            dist = _conv_valid_sep_dot((ref - cand) ** 2, k1)
+            wgt = np.exp(-dist / h2)
+            num += wgt * cand[pr : pr + h, pr : pr + w]
+            den += wgt
+    return num / den
+
+
+def tv_iterated_steps(img, p: TvParams):
+    u = img
+    for _ in range(p.iterations):
+        u = tv_denoise_step(u, img, p)
+    return u.pixels
+
+
+SMALL_SHAPES = [(1, 1), (1, 7), (7, 1), (5, 9), (11, 6), (13, 13)]
+
+
+def small_images(shape):
+    # Uniform noise, and few levels with an edge: weights near 1 and near 0.
+    rng = np.random.default_rng(shape)
+    steps = np.where(np.arange(shape[1]) < shape[1] // 2, 40.0, 200.0) + rng.integers(0, 3, shape) * 5.0
+    return [GrayImage(rng.random(shape) * 255.0), GrayImage(steps)]
+
+
 def gaussian_convolution_oracle(pixels, sigma_s, radius):
     # Truncated, normalized Gaussian blur with replicate padding.
     h, w = pixels.shape
@@ -182,7 +273,7 @@ class TestModeFilter:
         with pytest.raises(ValueError, match="mode_kind"):
             mode_filter(img, 3, "median", 8.0)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9), (11, 6), (13, 13)])
+    @pytest.mark.parametrize("shape", SMALL_SHAPES)
     @pytest.mark.parametrize("window", [3, 5, 7, 9])
     def test_global_matches_per_pixel_oracle(self, shape, window):
         rng = np.random.default_rng([*shape, window])
@@ -209,6 +300,25 @@ class TestModeFilter:
             for bin_width in (0.3, 8.0, 40.0):
                 got = mode_filter(GrayImage(pixels), window, "global", bin_width).pixels
                 assert np.array_equal(got, global_mode_oracle(pixels, window, bin_width))
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES)
+    @pytest.mark.parametrize("window", [3, 5, 9])
+    def test_local_matches_whole_plane_reference(self, shape, window):
+        rng = np.random.default_rng([*shape, window, 1])
+        for pixels in (rng.integers(0, 3, shape) * 10.0, rng.random(shape) * 255.0):
+            for bin_width in (0.3, 8.0, 40.0):
+                got = mode_filter(GrayImage(pixels), window, "local", bin_width).pixels
+                assert np.array_equal(got, local_mode_reference(GrayImage(pixels), window, bin_width))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_local_row_blocks(self, monkeypatch, rows):
+        rng = np.random.default_rng(16)
+        img = GrayImage(rng.integers(0, 4, (11, 8)) * 7.0 + rng.random((11, 8)) * 9.0)
+        for window in (3, 5, 9):
+            monkeypatch.setattr(demoire.spatial, "_MODE_BLOCK_VALUES", rows * 8 * window * window)
+            for bin_width in (0.3, 8.0, 40.0):
+                got = mode_filter(img, window, "local", bin_width).pixels
+                assert np.array_equal(got, local_mode_reference(img, window, bin_width))
 
     @pytest.mark.parametrize("bin_width", [float("nan"), float("inf")])
     def test_rejects_non_finite_bin_width(self, bin_width):
@@ -240,6 +350,23 @@ class TestBilateralFilter:
         got = bilateral_filter(img, p).pixels
         want = gaussian_convolution_oracle(img.pixels, 1.5, p.radius)
         assert np.max(np.abs(got - want)) <= 1e-6
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES)
+    def test_half_offsets_match_full_offsets(self, shape):
+        # Radii 6 (default), 2, 9 and 15: most exceed the image sides.
+        radii = (BilateralParams(), BilateralParams(0.5, 10.0), BilateralParams(3.0, 60.0), BilateralParams(5.0, 5.0))
+        for p in radii:
+            for img in small_images(shape):
+                got = bilateral_filter(img, p).pixels
+                assert np.max(np.abs(got - bilateral_full_offsets(img, p))) <= 1e-9
+
+    def test_gauss_weight_matches_reference(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(0.0, 60.0, (7, 9))
+        for sigma in (0.5, 2.0, 30.0):
+            assert np.array_equal(gauss_weight(x, sigma), gauss_weight_reference(x, sigma))
+            scalar = gauss_weight(-3.5, sigma)
+            assert np.isscalar(scalar) and scalar == gauss_weight_reference(-3.5, sigma)
 
     def test_radius_derived_from_sigma_s(self):
         assert BilateralParams(sigma_s=2.0).radius == 6
@@ -306,6 +433,13 @@ class TestTvDenoise:
     def test_discrete_tv_hand_value(self):
         img = GrayImage(np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert total_variation(img, epsilon=0.0) == 2.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 8), (8, 1), (13, 9)])
+    def test_equals_iterated_steps(self, shape):
+        rng = np.random.default_rng(shape)
+        img = GrayImage(rng.random(shape) * 255)
+        for p in (TvParams(), TvParams(lam=0.3, step=0.05, iterations=7, epsilon=0.5)):
+            assert np.array_equal(tv_denoise(img, p).pixels, tv_iterated_steps(img, p))
 
     def test_huge_lambda_keeps_noisy_input(self):
         rng = np.random.default_rng(20)
@@ -379,6 +513,22 @@ class TestNlmDenoise:
         for wlist in weights:
             assert abs(math.fsum(wlist) - 1.0) <= 1e-12
             assert all(0.0 <= wt <= 1.0 for wt in wlist)
+
+    def test_matches_bruteforce_oracle_non_square(self):
+        rng = np.random.default_rng(27)
+        img = GrayImage(rng.random((4, 7)) * 255)
+        p = NlmParams(h=30.0, patch_radius=1, search_radius=5)
+        got = nlm_denoise(img, p).pixels
+        want, _ = nlm_oracle(img.pixels, p)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES)
+    def test_half_offsets_match_full_offsets(self, shape):
+        # Search radius 10 (default) exceeds every side; patch radii 3, 1 and 2.
+        for p in (NlmParams(), NlmParams(15.0, 1, 2), NlmParams(40.0, 2, 6)):
+            for img in small_images(shape):
+                got = nlm_denoise(img, p).pixels
+                assert np.max(np.abs(got - nlm_full_offsets(img, p))) <= 1e-9
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(25)
