@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import GrayImage
 # perfbench/spans.py wraps center_shift in this module, so it stays importable here.
-from .transform import Spectrum, center_shift, dft2d, idft2d  # noqa: F401
+from .transform import Spectrum, _owned_spectrum, center_shift, dft2d, idft2d  # noqa: F401
 
 __all__ = [
     "Peak",
@@ -308,7 +308,7 @@ def notch_reject(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spectr
     mask = _contamination_mask(h, w, peaks, params.repair_radius)
     data = spec.data.copy()
     data[mask] = 0.0
-    return Spectrum(data)
+    return _owned_spectrum(data)
 
 
 def _donor_median(
@@ -378,7 +378,7 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     # Only the repaired bins change; both sides are read before either is written.
     u, v = bins.T
     repaired[u, v] = 0.5 * (repaired[u, v] + np.conj(repaired[-u % h, -v % w]))
-    return Spectrum(repaired)
+    return _owned_spectrum(repaired)
 
 
 def analyze(img: GrayImage, params: RepairParams) -> tuple[Spectrum, PeakSet]:

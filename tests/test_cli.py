@@ -29,9 +29,10 @@ from demoire import (
 )
 from demoire.cli import main
 from demoire.noise import default_noise_corpus
-from demoire.synth import default_bench_images
+from demoire.synth import default_bench_images, make_filtered_field
 
 from test_spatial import bilateral_full_offsets, nlm_full_offsets, tv_iterated_steps
+from test_transform import fft2_dft2d, ifft2_idft2d
 
 
 def write_image(path, pixels):
@@ -386,6 +387,69 @@ def test_spatial_denoise_bytes_match_reference_loops(tmp_path, moire_bench_input
         out = tmp_path / f"{src.stem}-{method}.pgm"
         assert main(["denoise", "--in", str(src), "--out", str(out), "--method", method]) == 0
         assert out.read_bytes() == write_pgm(GrayImage(reference(read_pgm(src.read_bytes()))))
+
+
+@pytest.fixture(scope="module")
+def transform_pin_inputs(tmp_path_factory):
+    # A directory of the four 256x256 bench images for `bench`, and for
+    # `denoise` each of them with a corpus pattern plus one off-grid case per
+    # off-grid workload shape: a texture with two sinusoids off the bin grid.
+    root = tmp_path_factory.mktemp("transform-pin")
+    bench = root / "bench"
+    bench.mkdir()
+    corpus = default_noise_corpus(256, 256)
+    inputs = []
+    for k, (name, clean) in enumerate(default_bench_images(256)):
+        (bench / f"{name}.pgm").write_bytes(write_pgm(clean))
+        inputs.append(root / f"{name}-moire.pgm")
+        inputs[-1].write_bytes(write_pgm(synthesize_moire(clean, corpus[k][1])))
+    for h, w in ((240, 256), (256, 320), (257, 256)):
+        spec = MoireSpec(
+            (
+                MoireComponent(25.0, (h // 5 + 0.37) / h, (w // 7 + 0.29) / w, 0.3),
+                MoireComponent(15.0, (h // 9 + 0.61) / h, -(w // 4 + 0.43) / w, 1.9),
+            )
+        )
+        inputs.append(root / f"offgrid-{h}x{w}.pgm")
+        inputs[-1].write_bytes(write_pgm(synthesize_moire(make_filtered_field(h, w, sigma=0.7, seed=h + w), spec)))
+    return bench, inputs
+
+
+def spectral_outputs(out_dir, bench, inputs):
+    """PGM bytes and peaks of `denoise` per input and spectral method, and the `bench` CSV."""
+    out_dir.mkdir()
+    pgms, peaks = {}, {}
+    for src in inputs:
+        for method in ("notch", "spectral-median"):
+            out, csv = out_dir / f"{src.stem}.{method}.pgm", out_dir / f"{src.stem}.{method}.csv"
+            argv = ["denoise", "--in", str(src), "--out", str(out), "--method", method, "--dump-peaks", str(csv)]
+            assert main(argv) == 0
+            pgms[out.name] = out.read_bytes()
+            rows = (line.split(",") for line in csv.read_text().splitlines()[1:])
+            peaks[out.name] = [(int(u), int(v), float(m)) for u, v, m in rows]
+    assert main(["bench", "--images", str(bench), "--out", str(out_dir / "bench.csv")]) == 0
+    return pgms, peaks, (out_dir / "bench.csv").read_bytes()
+
+
+def test_spectral_bytes_match_full_plane_transforms(tmp_path, transform_pin_inputs, monkeypatch):
+    bench, inputs = transform_pin_inputs
+    pgms, peaks, csv = spectral_outputs(tmp_path / "half-plane", bench, inputs)
+    calls = []
+    monkeypatch.setattr(demoire.spectral, "dft2d", lambda img: calls.append(1) or fft2_dft2d(img))
+    monkeypatch.setattr(demoire.spectral, "idft2d", lambda spec: calls.append(2) or ifft2_idft2d(spec))
+    want_pgms, want_peaks, want_csv = spectral_outputs(tmp_path / "full-plane", bench, inputs)
+    # One transform pair per denoise; one forward and two inverses per bench case.
+    assert (calls.count(1), calls.count(2)) == (2 * len(inputs) + 4 * 6, 2 * len(inputs) + 2 * 4 * 6)
+    assert csv == want_csv
+    assert pgms == want_pgms
+    for name, got in peaks.items():
+        want = want_peaks[name]
+        assert len(got) > 0 and [p[:2] for p in got] == [p[:2] for p in want]
+        assert all(abs(g[2] - m[2]) <= 1e-12 * m[2] for g, m in zip(got, want))
+        # The spectrum is exactly Hermitian, so a peak and its mirror report one magnitude.
+        h, w = read_pgm(next(s for s in inputs if name.startswith(s.stem)).read_bytes()).shape
+        mags = {(u, v): m for u, v, m in got}
+        assert all(mags[(2 * (h // 2) - u) % h, (2 * (w // 2) - v) % w] == m for (u, v), m in mags.items())
 
 
 class TestPsnr:

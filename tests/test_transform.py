@@ -3,7 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from demoire import GrayImage, Spectrum, center_shift, dft2d, idft2d, log_magnitude
+from demoire import (
+    GrayImage,
+    MoireComponent,
+    MoireSpec,
+    RepairParams,
+    Spectrum,
+    center_shift,
+    detect_peaks,
+    dft2d,
+    idft2d,
+    log_magnitude,
+    notch_reject,
+    spectral_median,
+    synthesize_moire,
+)
+from demoire.synth import make_filtered_field
+from demoire.transform import _owned_spectrum
+
+# Shapes whose axes have no mirror pairs (1), one self-mirror bin (odd) or
+# two (even), and a prime axis.
+GUARD_SHAPES = [(1, 1), (1, 7), (7, 1), (6, 9), (9, 6), (257, 16)]
 
 
 def dft2d_oracle(pixels):
@@ -26,6 +46,40 @@ def dft2d_oracle(pixels):
 def mirror(arr):
     h, w = arr.shape
     return arr[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
+
+
+# The full-plane transforms dft2d and idft2d computed before they used the
+# real-input half plane, kept as the reference for the pipeline's bytes.
+_IMAG_REL_TOL = 1e-6
+_IMAG_ABS_FLOOR = 1e-9
+
+
+def fft2_dft2d(img):
+    return Spectrum(np.fft.fft2(img.pixels), centered=False)
+
+
+def ifft2_idft2d(spec):
+    if spec.centered:
+        raise ValueError("spectrum is centered: apply center_shift before the inverse transform")
+    inv = np.fft.ifft2(spec.data)
+    max_imag = float(np.max(np.abs(inv.imag)))
+    max_real = float(np.max(np.abs(inv.real)))
+    if max_imag > _IMAG_REL_TOL * max_real and max_imag > _IMAG_ABS_FLOOR:
+        raise ValueError(
+            f"inverse transform has imaginary residue {max_imag:.3e} against "
+            f"max real {max_real:.3e}: spectrum lost Hermitian symmetry"
+        )
+    return GrayImage(inv.real)
+
+
+def random_image(h, w, seed=0):
+    return GrayImage(np.random.default_rng([h, w, seed]).random((h, w)) * 255 + 1.0)
+
+
+def pure_sinusoid(h, w, amplitude=100.0):
+    """A cosine on bin (h//3, w//3) (the constant image on a 1x1 grid)."""
+    x, y = np.indices((h, w))
+    return GrayImage(amplitude * np.cos(2.0 * np.pi * ((h // 3) * x / h + (w // 3) * y / w)))
 
 
 class TestDft2d:
@@ -54,12 +108,34 @@ class TestDft2d:
         rest[2, 0] = rest[6, 0] = 0.0
         assert np.max(np.abs(rest)) <= 1e-9
 
-    @pytest.mark.parametrize("h,w", [(2, 3), (5, 5), (7, 4), (11, 13), (12, 12)])
+    @pytest.mark.parametrize(
+        "h,w", [(2, 3), (5, 5), (7, 4), (11, 13), (12, 12), (1, 1), (1, 8), (1, 9), (8, 1), (9, 1), (6, 9), (9, 6)]
+    )
     def test_matches_direct_sum_oracle(self, h, w):
         rng = np.random.default_rng(h * 100 + w)
         img = GrayImage(rng.random((h, w)) * 255)
         spec = dft2d(img)
         assert np.max(np.abs(spec.data - dft2d_oracle(img.pixels))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "h,w", [(1, 1), (1, 2), (2, 1), (1, 8), (1, 9), (8, 1), (9, 1), (2, 2), (6, 9), (9, 6), (16, 16), (257, 16)]
+    )
+    def test_exactly_hermitian(self, h, w):
+        s = dft2d(random_image(h, w)).data
+        assert np.array_equal(s, np.conj(mirror(s)))
+
+    def test_exactly_hermitian_at_pipeline_shapes(self):
+        for h, w in [(256, 256), (240, 256), (256, 320), (257, 256)]:
+            s = dft2d(make_filtered_field(h, w, sigma=0.7, seed=h + w)).data
+            assert np.array_equal(s, np.conj(mirror(s)))
+
+    def test_left_half_is_rfft2(self):
+        # Only the bins rfft2 does not reach, or rounds asymmetrically in the
+        # self-mirror columns, are replaced by their mirrors.
+        img = random_image(9, 6)
+        s, r = dft2d(img).data, np.fft.rfft2(img.pixels)
+        assert np.array_equal(s[:5, :4], r[:5])
+        assert np.array_equal(s[:, 1:3], r[:, 1:3])
 
 
 class TestIdft2d:
@@ -101,6 +177,128 @@ class TestIdft2d:
     def test_all_zero_spectrum_ok(self):
         out = idft2d(Spectrum(np.zeros((4, 4), dtype=complex)))
         assert np.array_equal(out.pixels, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("method", [notch_reject, spectral_median])
+    @pytest.mark.parametrize("h,w", [(64, 64), (33, 40), (40, 33), (37, 29)])
+    def test_matches_full_plane_inverse_on_repaired_spectra(self, h, w, method):
+        clean = make_filtered_field(h, w, sigma=1.2, seed=h * w)
+        noisy = synthesize_moire(clean, MoireSpec((MoireComponent(25.0, 5.3 / h, 3.7 / w, 0.4),)))
+        params = RepairParams(guard_dc_radius=2)
+        spec = dft2d(noisy)
+        peaks = detect_peaks(spec, params)
+        assert len(peaks) > 0
+        repaired = method(spec, peaks, params)
+        want = np.fft.ifft2(repaired.data).real
+        assert np.max(np.abs(idft2d(repaired).pixels - want)) <= 1e-9
+
+
+def edit_right_half(data):
+    h, w = data.shape
+    data[h // 3, w - 1] += 1e-4 * np.abs(data).max()
+
+
+def edit_column_0_imag(data):
+    h, _ = data.shape
+    data[h // 3, 0] += 1e-4j * np.abs(data).max()
+
+
+def edit_column_half(data):
+    h, w = data.shape
+    data[h // 3, w // 2] += 1e-4 * np.abs(data).max()
+
+
+def edit_dc_imag(data):
+    data[0, 0] += 1e-4j * np.abs(data).max()
+
+
+class TestHermitianGuard:
+    """idft2d inverts only the half plane, so it must test what irfft2 cannot see."""
+
+    @pytest.mark.parametrize(
+        "edit, shapes",
+        [
+            (edit_right_half, [(1, 7), (6, 9), (9, 6), (257, 16)]),  # W >= 3: there is a right half
+            (edit_column_0_imag, [(7, 1), (6, 9), (9, 6), (257, 16)]),  # H >= 2: not the DC
+            (edit_column_half, [(9, 6), (257, 16)]),  # even W
+            (edit_dc_imag, GUARD_SHAPES),
+        ],
+    )
+    def test_rejects_edit(self, edit, shapes):
+        for h, w in shapes:
+            data = dft2d(random_image(h, w)).data.copy()
+            edit(data)
+            with pytest.raises(ValueError, match="Hermitian"):
+                idft2d(Spectrum(data))
+
+    def test_right_half_edit_invisible_to_half_plane_inverse(self):
+        img = random_image(6, 9)
+        data = dft2d(img).data.copy()
+        edit_right_half(data)
+        assert np.array_equal(np.fft.irfft2(data[:, :5], s=(6, 9)), idft2d(dft2d(img)).pixels)
+
+    @pytest.mark.parametrize("h,w", GUARD_SHAPES)
+    def test_accepts_all_zero_spectrum(self, h, w):
+        out = idft2d(Spectrum(np.zeros((h, w), dtype=complex)))
+        assert np.array_equal(out.pixels, np.zeros((h, w)))
+
+    @pytest.mark.parametrize("forward", [dft2d, fft2_dft2d], ids=["dft2d", "fft2"])
+    @pytest.mark.parametrize("h,w", GUARD_SHAPES)
+    def test_accepts_fully_notched_pure_sinusoid(self, h, w, forward):
+        # With the full-plane fft2, what is left after the notch is rounding
+        # noise that is Hermitian only to rounding: the absolute floor holds.
+        data = forward(pure_sinusoid(h, w)).data.copy()
+        data[h // 3, w // 3] = data[-(h // 3) % h, -(w // 3) % w] = 0.0
+        out = idft2d(Spectrum(data))
+        assert np.max(np.abs(out.pixels)) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    @pytest.mark.parametrize("h,w", GUARD_SHAPES)
+    def test_accepts_rounding_asymmetry(self, h, w, scale):
+        # fft2 output is Hermitian only to rounding, which grows with the
+        # values: the relative test admits it at large values.
+        img = GrayImage(random_image(h, w).pixels * scale)
+        back = idft2d(Spectrum(np.fft.fft2(img.pixels)))
+        assert np.max(np.abs(back.pixels - img.pixels)) <= 1e-9 * scale
+
+
+class TestSpectrumOwnership:
+    def test_public_constructor_copies(self):
+        data = np.ones((3, 4), dtype=complex)
+        spec = Spectrum(data)
+        data[0, 0] = 5.0
+        assert spec.data[0, 0] == 1.0
+        assert not spec.data.flags.writeable
+
+    def test_owned_spectrum_keeps_array_and_freezes_it(self):
+        data = np.ones((3, 4), dtype=complex)
+        spec = _owned_spectrum(data, centered=True)
+        assert spec.data is data and spec.centered
+        assert not data.flags.writeable
+
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            (np.ones(4, dtype=complex), "2D"),
+            (np.ones((0, 4), dtype=complex), "at least 1x1"),
+            (np.array([[1.0, np.inf]], dtype=complex), "finite"),
+            (np.array([[1.0, complex(0.0, np.nan)]]), "finite"),
+        ],
+    )
+    def test_owned_spectrum_validates(self, data, problem):
+        with pytest.raises(ValueError, match=problem):
+            _owned_spectrum(data)
+        with pytest.raises(ValueError, match=problem):
+            Spectrum(data)
+
+    def test_outputs_read_only(self):
+        img = make_filtered_field(64, 64, sigma=1.2, seed=3)
+        noisy = synthesize_moire(img, MoireSpec((MoireComponent(30.0, 20 / 64, 12 / 64, 0.0),)))
+        params = RepairParams()
+        spec = dft2d(noisy)
+        peaks = detect_peaks(spec, params)
+        assert len(peaks) == 2
+        outputs = (spec, center_shift(spec), notch_reject(spec, peaks, params), spectral_median(spec, peaks, params))
+        assert not any(out.data.flags.writeable for out in outputs)
 
 
 class TestCenterShift:
