@@ -7,10 +7,12 @@ bin off the grid); and 256x256 spectra on which the tier-1 count bound of
 ``spectral._exceeds_background`` rules out few bins: a flat spectrum with a
 near-zero bin on every third row and column (no peaks), and a white spectrum
 at thresholds 3, 1.5 and 1.2 (hundreds to thousands of peaks, so greedy
-non-maximum suppression does real work). Spectra are computed in dft2d
-order before timing, so only detection is timed. Where the timed tree has
-the tier-1 bound, each set also reports the share of bins it keeps for the
-exact count.
+non-maximum suppression does real work). The flat and white spectra are
+drawn as half planes, as a real image's spectrum is stored; a tree that
+stores the full plane gets their conjugate-mirror expansion, so it sees the
+same magnitudes. Spectra are computed in dft2d order before timing, so only
+detection is timed. Where the timed tree has the tier-1 bound, each set also
+reports the share of bins it keeps for the exact count.
 
     python benchmarks/detect.py                        # time ./src, print only
     python benchmarks/detect.py --src OTHER/src --label parent --json BENCH_6.json
@@ -64,15 +66,33 @@ def offgrid_spectra(demoire, h: int, w: int, cases: int = 4):
     return spectra
 
 
+def half_plane_spectrum(demoire, half: np.ndarray, w: int):
+    """The Spectrum of width ``w`` whose half plane is ``half``.
+
+    A tree whose Spectrum stores the full plane (it has a ``centered`` field)
+    gets the conjugate-mirror expansion: column v > w//2 is the conjugate of
+    column w - v with its rows mirrored.
+    """
+    if "centered" not in demoire.Spectrum.__dataclass_fields__:
+        return demoire.Spectrum(half, w)
+    h = half.shape[0]
+    full = np.empty((h, w), dtype=complex)
+    full[:, : w // 2 + 1] = half
+    for v in range(w // 2 + 1, w):
+        full[:, v] = np.conj(half[(-np.arange(h)) % h, w - v])
+    return demoire.Spectrum(full)
+
+
 def lattice_spectrum(demoire, h: int = 256, w: int = 256):
-    data = np.ones((h, w), dtype=complex)
-    data[::3, ::3] = 1e-3  # nearly every 3x3 tile holds one, so tile minima rule out few bins
-    return demoire.Spectrum(data)
+    half = np.ones((h, w // 2 + 1), dtype=complex)
+    half[::3, ::3] = 1e-3  # nearly every 3x3 tile holds one, so tile minima rule out few bins
+    return half_plane_spectrum(demoire, half, w)
 
 
 def white_spectrum(demoire, h: int = 256, w: int = 256):
     rng = np.random.default_rng([h, w])
-    return demoire.Spectrum(rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w)))
+    shape = (h, w // 2 + 1)
+    return half_plane_spectrum(demoire, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), w)
 
 
 def warm_up(demoire, spectra, params):

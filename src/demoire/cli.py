@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--methods",
         default="notch,spectral-median",
-        help="comma-separated method list (default: notch,spectral-median)",
+        help="comma-separated method list (default: %(default)s)",
     )
     p_bench.add_argument(
         "--timing",
@@ -190,7 +190,7 @@ def cmd_denoise(args) -> int:
     if args.dump_spectrum:
         if spec is None:
             spec = dft2d(img)
-        Path(args.dump_spectrum).write_bytes(write_pgm(log_magnitude(center_shift(spec))))
+        Path(args.dump_spectrum).write_bytes(write_pgm(log_magnitude(spec)))
     Path(args.output).write_bytes(write_pgm(denoised))
     return 0
 

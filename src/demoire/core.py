@@ -50,14 +50,7 @@ class GrayImage:
 
     def __post_init__(self):
         arr = np.array(self.pixels, dtype=np.float64, copy=True)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2D pixel array, got {arr.ndim}D")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"image dimensions must be at least 1x1, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("pixel values must all be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
+        object.__setattr__(self, "pixels", _frozen(arr, "image"))
 
     @property
     def height(self) -> int:
@@ -70,6 +63,32 @@ class GrayImage:
     @property
     def shape(self) -> tuple[int, int]:
         return self.pixels.shape
+
+
+def _frozen(arr: np.ndarray, kind: str) -> np.ndarray:
+    """Check that ``arr`` is a 2D array of finite values, at least 1x1, and mark it read-only.
+
+    ``kind`` names the array in the error messages.
+    """
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2D {kind} array, got {arr.ndim}D")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{kind} dimensions must be at least 1x1, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{kind} values must all be finite")
+    arr.setflags(write=False)
+    return arr
+
+
+def _owned_image(pixels: np.ndarray) -> GrayImage:
+    """A GrayImage over ``pixels``, a fresh float64 array the caller hands over.
+
+    It is validated and frozen like the public constructor's copy, but not
+    copied again; the caller must hold no other reference it writes through.
+    """
+    img = object.__new__(GrayImage)
+    object.__setattr__(img, "pixels", _frozen(pixels, "image"))
+    return img
 
 
 @dataclass(frozen=True)

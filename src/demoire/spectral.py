@@ -6,7 +6,10 @@ and repairs them either by zeroing (ideal notch, the conventional baseline)
 or by re-estimating each contaminated bin from the median of its untouched
 neighbors, which preserves the underlying image content.
 
-Spectra stay in ``dft2d`` order (DC at (0, 0)). All neighborhood geometry
+Spectra are the ``rfft2`` half plane in ``dft2d`` order (DC at (0, 0)).
+Detection and the donor windows read the magnitude of the full H x W plane,
+mirrored out of the half plane, so every peak is found together with its
+mirror; the repairs write only the half plane. All neighborhood geometry
 (detection annulus, repair disks, donor windows) wraps periodically, matching
 the periodicity of the discrete spectrum, so none of it depends on where DC
 sits. Peaks carry centered labels, DC at (H//2, W//2): bin k of an axis of n
@@ -24,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import GrayImage
 # perfbench/spans.py wraps center_shift in this module, so it stays importable here.
-from .transform import Spectrum, _owned_spectrum, center_shift, dft2d, idft2d  # noqa: F401
+from .transform import Spectrum, _full_magnitude, _owned_spectrum, center_shift, dft2d, idft2d  # noqa: F401
 
 __all__ = [
     "Peak",
@@ -142,10 +145,11 @@ def _stamp_disks(mask: np.ndarray, u, v, disk: np.ndarray) -> None:
 
 
 def _contamination_mask(h: int, w: int, peaks: PeakSet, radius: int) -> np.ndarray:
-    """Bins within ``radius`` of a peak, in dft2d order."""
+    """Bins within ``radius`` of a peak or its mirror (the repairs write only the half plane)."""
     labels = np.array([(p.u, p.v) for p in peaks], dtype=np.intp).reshape(-1, 2)
+    u, v = labels[:, 0] - h // 2, labels[:, 1] - w // 2
     mask = np.zeros((h, w), dtype=bool)
-    _stamp_disks(mask, labels[:, 0] - h // 2, labels[:, 1] - w // 2, _disk_offsets(radius))
+    _stamp_disks(mask, np.concatenate([u, -u]), np.concatenate([v, -v]), _disk_offsets(radius))
     return mask
 
 
@@ -260,18 +264,16 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
     then the exact count on the survivors (see ``_exceeds_background``).
     Bins within the DC guard are ignored, non-maximum suppression keeps one
     bin per repair disk, and the result is symmetrized so every peak's
-    Hermitian mirror is present. The spectrum is in dft2d order; the peaks
-    carry centered labels.
+    Hermitian mirror is present. Detection runs on the full magnitude plane
+    in dft2d order; the peaks carry centered labels.
     """
-    if spec.centered:
-        raise ValueError("detect_peaks expects a spectrum in dft2d order, not a centered one")
     h, w = spec.shape
     if h < MIN_DETECT_DIM or w < MIN_DETECT_DIM:
         raise ValueError(
             f"spectrum {h}x{w} is too small for the {ANNULUS_SIZE}x{ANNULUS_SIZE} detection "
             f"annulus; images must be at least {MIN_DETECT_DIM}x{MIN_DETECT_DIM}"
         )
-    mag = np.abs(spec.data)
+    mag = _full_magnitude(spec)
     guard = params.resolved_guard(h, w)
     fu = (_centered(np.arange(h), h) - h // 2)[:, np.newaxis]  # signed frequencies
     fv = (_centered(np.arange(w), w) - w // 2)[np.newaxis, :]
@@ -302,13 +304,11 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
 
 def notch_reject(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spectrum:
     """Conventional baseline: zero every bin within repair_radius of a peak."""
-    if spec.centered:
-        raise ValueError("notch_reject expects a spectrum in dft2d order, not a centered one")
     h, w = spec.shape
     mask = _contamination_mask(h, w, peaks, params.repair_radius)
     data = spec.data.copy()
-    data[mask] = 0.0
-    return _owned_spectrum(data)
+    data[mask[:, : w // 2 + 1]] = 0.0
+    return _owned_spectrum(data, w)
 
 
 def _donor_median(
@@ -349,21 +349,22 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     its window x window neighborhood, excluding every contaminated bin (the
     impulse never feeds its own estimate). The bin's phase is kept: away from
     the impulse carrier it belongs to the image content this repair exists to
-    preserve, which is what lets the method beat zeroing. Pair-averaging with
-    the conjugate mirror then pins Hermitian symmetry exactly. Bins outside
-    all repair disks are returned bit-identical.
+    preserve, which is what lets the method beat zeroing. Only half-plane bins
+    are re-estimated; a mirror outside it would get the conjugate estimate,
+    as mask and donor windows are point-symmetric. In the self-mirror
+    columns, which hold both bins of a pair, pair-averaging with the
+    conjugate mirror pins Hermitian symmetry exactly. Bins outside all
+    repair disks are returned bit-identical.
     """
-    if spec.centered:
-        raise ValueError("spectral_median expects a spectrum in dft2d order, not a centered one")
     h, w = spec.shape
     if len(peaks) == 0:
         return spec
     mask = _contamination_mask(h, w, peaks, params.repair_radius)
     src = spec.data
-    mag = np.abs(src)
+    mag = _full_magnitude(spec)
     repaired = src.copy()
     # Centered row-major order: a donor shortage names the first bin by its label.
-    bins = np.argwhere(mask)
+    bins = np.argwhere(mask[:, : w // 2 + 1])
     bins = bins[np.lexsort((_centered(bins[:, 1], w), _centered(bins[:, 0], h)))]
     chunk = max(1, _GATHER_LIMIT // (params.window * params.window))
     for i0 in range(0, len(bins), chunk):
@@ -376,9 +377,9 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
         unit = np.divide(value, scale, out=np.ones_like(value), where=scale > 0.0)
         repaired[u, v] = estimate * unit
     # Only the repaired bins change; both sides are read before either is written.
-    u, v = bins.T
-    repaired[u, v] = 0.5 * (repaired[u, v] + np.conj(repaired[-u % h, -v % w]))
-    return _owned_spectrum(repaired)
+    u, v = bins[(bins[:, 1] == 0) | (2 * bins[:, 1] == w)].T
+    repaired[u, v] = 0.5 * (repaired[u, v] + np.conj(repaired[-u % h, v]))
+    return _owned_spectrum(repaired, w)
 
 
 def analyze(img: GrayImage, params: RepairParams) -> tuple[Spectrum, PeakSet]:

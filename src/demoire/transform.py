@@ -1,14 +1,15 @@
-"""Exact 2D discrete Fourier transform, DC centering, and magnitude display.
+"""Exact 2D discrete Fourier transform and magnitude display.
 
 Conventions: the forward transform is unnormalized, the inverse carries the
 1/(H*W) factor, and arbitrary (including prime) dimensions are exact.
 
 Images are real, so their spectra are Hermitian: S(-k) = conj(S(k)), indices
-taken modulo the shape. Both transforms use that. ``dft2d`` computes the
-half plane of columns 0 .. W//2 with ``rfft2`` and fills the rest of the full
-H x W plane from the mirrors, so its spectrum is exactly Hermitian.
-``idft2d`` inverts the half plane with ``irfft2``, after testing that the
-bins the half plane leaves out agree with it.
+taken modulo the shape. A :class:`Spectrum` stores only the ``rfft2`` half
+plane, columns 0 .. W//2 in ``dft2d`` order (DC at (0, 0)); column -v of the
+full plane is the conjugate of column v with its rows mirrored, -u mod H.
+Only the self-mirror columns (v = 0, and v = W/2 for even W) hold mirror
+pairs within the half plane: ``dft2d`` makes them exactly Hermitian, and
+``idft2d`` tests them before it inverts the half plane with ``irfft2``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GrayImage
+from .core import GrayImage, _frozen, _owned_image
 
 __all__ = ["Spectrum", "center_shift", "dft2d", "idft2d", "log_magnitude"]
 
@@ -31,48 +32,37 @@ _HERMITIAN_ABS_FLOOR = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Complex 2D spectrum; ``centered`` is true when DC sits at (H//2, W//2)."""
+    """Spectrum of a real H x W image: the H x (W//2+1) ``rfft2`` half plane and W.
+
+    ``shape`` is the image's (H, W), not the shape of ``data``.
+    """
 
     data: np.ndarray
-    centered: bool = False
+    width: int
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen(np.array(self.data, dtype=np.complex128, copy=True)))
+        self._own(np.array(self.data, dtype=np.complex128, copy=True))
+
+    def _own(self, data: np.ndarray) -> None:
+        object.__setattr__(self, "data", _frozen(data, "spectrum"))
+        cols = self.width // 2 + 1
+        if self.width < 1 or data.shape[1] != cols:
+            raise ValueError(f"a spectrum of width {self.width} holds {cols} columns, got {data.shape[1]}")
 
     @property
     def height(self) -> int:
         return self.data.shape[0]
 
     @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
-        return self.data.shape
+        return self.height, self.width
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """Validate a complex spectrum array and mark it read-only."""
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2D spectrum array, got {arr.ndim}D")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"spectrum dimensions must be at least 1x1, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("spectrum values must all be finite")
-    arr.setflags(write=False)
-    return arr
-
-
-def _owned_spectrum(data: np.ndarray, centered: bool = False) -> Spectrum:
-    """A Spectrum over ``data``, a fresh complex128 array the caller hands over.
-
-    It is validated and frozen like the public constructor's copy, but not
-    copied again; the caller must hold no other reference it writes through.
-    """
+def _owned_spectrum(data: np.ndarray, width: int) -> Spectrum:
+    """A Spectrum over the fresh complex128 ``data``, not copied, as in :func:`core._owned_image`."""
     spec = object.__new__(Spectrum)
-    object.__setattr__(spec, "data", _frozen(data))
-    object.__setattr__(spec, "centered", centered)
+    object.__setattr__(spec, "width", width)
+    spec._own(data)
     return spec
 
 
@@ -81,92 +71,74 @@ def _self_mirror(n: int) -> slice:
     return slice(0, None, n // 2) if n % 2 == 0 else slice(0, 1)
 
 
-def _mirror_pairs(data: np.ndarray):
-    """Views of the bins outside the rfft2 half plane, and of the self-mirror columns.
-
-    Returns ``(pairs, points)``. Each pair ``(bins, mirrors)`` holds the bins
-    k and, elementwise, their mirrors -k: the right half (columns W//2+1 ..
-    W-1) against columns (W-1)//2 .. 1 with the rows reversed modulo H, then
-    the lower rows of the self-mirror columns (v = 0, and v = W/2 when W is
-    even) against their upper rows. ``points`` are the bins that are their
-    own mirror, which are real in a Hermitian spectrum.
-    """
-    h, w = data.shape
-    k = (w - 1) // 2
+def _self_mirror_columns(data: np.ndarray, w: int):
+    """Views ``(lower, upper, points)`` of the self-mirror columns of a half plane
+    of width ``w``: their lower rows, elementwise the upper rows they mirror
+    (-u mod H), and their bins that are their own mirrors (real if Hermitian)."""
+    h = data.shape[0]
+    k = (h - 1) // 2
     cols = data[:, _self_mirror(w)]
-    pairs = (
-        (data[:1, w - k :], data[:1, k:0:-1]),
-        (data[1:, w - k :], data[:0:-1, k:0:-1]),
-        (cols[h - (h - 1) // 2 :], cols[(h - 1) // 2 : 0 : -1]),
-    )
-    return pairs, cols[_self_mirror(h)]
+    return cols[h - k :], cols[k:0:-1], cols[_self_mirror(h)]
+
+
+def _full_magnitude(spec: Spectrum) -> np.ndarray:
+    """|S| over the full H x W plane in dft2d order, mirrored out of the half plane."""
+    h, w = spec.shape
+    mag = np.empty((h, w))
+    np.abs(spec.data, out=mag[:, : w // 2 + 1])
+    k = (w - 1) // 2
+    mag[0, w // 2 + 1 :] = mag[0, k:0:-1]
+    mag[1:, w // 2 + 1 :] = mag[:0:-1, k:0:-1]
+    return mag
 
 
 def dft2d(img: GrayImage) -> Spectrum:
     """Forward transform: S(u,v) = sum_xy f(x,y) exp(-2i*pi*(ux/H + vy/W)).
 
-    ``rfft2`` computes columns 0 .. W//2. Every other bin, and the lower
-    rows of the self-mirror columns (whose ``rfft2`` values are Hermitian
-    only to rounding), is set to the conjugate of its mirror, and the
-    imaginary part of each bin that is its own mirror to zero. The result
-    is exactly Hermitian, so mirror bins have bit-equal magnitudes.
+    ``rfft2`` computes the half plane. In the self-mirror columns its values
+    are Hermitian only to rounding, so their lower rows are set to the
+    conjugates of their upper rows, and the imaginary part of each bin that
+    is its own mirror to zero. The spectrum is then exactly Hermitian, and
+    mirror bins have bit-equal magnitudes.
     """
-    h, w = img.shape
-    data = np.empty((h, w), dtype=np.complex128)
-    np.fft.rfft2(img.pixels, out=data[:, : w // 2 + 1])
-    pairs, points = _mirror_pairs(data)
-    for bins, mirrors in pairs:
-        np.conjugate(mirrors, out=bins)
+    data = np.fft.rfft2(img.pixels)
+    lower, upper, points = _self_mirror_columns(data, img.width)
+    np.conjugate(upper, out=lower)
     points.imag = 0.0
-    return _owned_spectrum(data)
+    return _owned_spectrum(data, img.width)
 
 
 def idft2d(spec: Spectrum) -> GrayImage:
-    """Normalized inverse transform of an un-centered Hermitian spectrum.
+    """Normalized inverse transform of a Hermitian half-plane spectrum.
 
-    The spectrum must be un-centered (apply :func:`center_shift` first).
-    ``irfft2`` reads only columns 0 .. W//2 and takes the Hermitian part of
-    the self-mirror columns, so a spectrum that is not Hermitian would be
-    inverted silently to some other image. The bins it cannot see are
-    therefore tested first, elementwise on views: the right half and the
-    lower rows of the self-mirror columns against the conjugates of their
-    mirrors, and the self-mirror bins for a zero imaginary part. A gap above
-    tolerance, relative to the largest bin magnitude, signals a
-    symmetry-breaking bug in upstream spectral edits.
+    ``irfft2`` takes only the Hermitian part of the self-mirror columns, so a
+    spectrum whose edits broke their symmetry would be inverted silently to
+    some other image. Those columns are therefore tested first, elementwise
+    on views: their lower rows against the conjugates of their mirrors, and
+    the self-mirror bins for a zero imaginary part. A gap above tolerance,
+    relative to the largest bin magnitude, signals a symmetry-breaking bug
+    in upstream spectral edits.
     """
-    if spec.centered:
-        raise ValueError("spectrum is centered: apply center_shift before the inverse transform")
-    data = spec.data
-    h, w = data.shape
-    pairs, points = _mirror_pairs(data)
-    gap = max(float(np.abs(a - b.conj()).max(initial=0.0)) for a, b in pairs)
-    gap = max(gap, float(np.abs(points.imag).max()))
-    largest = float(np.abs(data[:, : w // 2 + 1]).max())
+    h, w = spec.shape
+    lower, upper, points = _self_mirror_columns(spec.data, w)
+    gap = max(float(np.abs(lower - upper.conj()).max(initial=0.0)), float(np.abs(points.imag).max()))
+    largest = float(np.abs(spec.data).max())
     if gap > _HERMITIAN_REL_TOL * largest and gap > _HERMITIAN_ABS_FLOOR * h * w:
         raise ValueError(
             f"spectrum bins differ from the conjugates of their mirrors by up to {gap:.3e} "
             f"against max magnitude {largest:.3e}: spectrum lost Hermitian symmetry"
         )
-    return GrayImage(np.fft.irfft2(data[:, : w // 2 + 1], s=(h, w)))
+    return _owned_image(np.fft.irfft2(spec.data, s=(h, w)))
 
 
-def center_shift(spec: Spectrum) -> Spectrum:
-    """Move DC to (H//2, W//2), or back to (0, 0) if already centered.
-
-    For even dimensions the two directions coincide; for odd dimensions the
-    inverse rolls by the complementary offset.
-    """
-    h, w = spec.shape
-    if spec.centered:
-        shift = (-(h // 2), -(w // 2))
-    else:
-        shift = (h // 2, w // 2)
-    return _owned_spectrum(np.roll(spec.data, shift, axis=(0, 1)), centered=not spec.centered)
+def center_shift(spec: Spectrum) -> np.ndarray:
+    """Display view: |S| over the full plane with DC moved to (H//2, W//2)."""
+    return np.fft.fftshift(_full_magnitude(spec))
 
 
 def log_magnitude(spec: Spectrum) -> GrayImage:
-    """Display view log(1 + |S|), rescaled to [0, 255] over the full grid."""
-    scaled = np.log1p(np.abs(spec.data))
+    """Display view log(1 + |S|), centered, rescaled to [0, 255] over the full grid."""
+    scaled = np.log1p(center_shift(spec))
     lo = float(scaled.min())
     hi = float(scaled.max())
     if hi == lo:

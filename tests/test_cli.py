@@ -3,6 +3,7 @@ import pytest
 
 import demoire.cli
 import demoire.spectral
+import demoire.transform
 from demoire import (
     BilateralParams,
     DiffusionParams,
@@ -20,7 +21,6 @@ from demoire import (
     dft2d,
     median_filter,
     mode_filter,
-    log_magnitude,
     nlm_denoise,
     read_pgm,
     synthesize_moire,
@@ -37,6 +37,14 @@ from test_transform import fft2_dft2d, ifft2_idft2d
 
 def write_image(path, pixels):
     path.write_bytes(write_pgm(GrayImage(pixels)))
+
+
+def fft2_spectrum_view(img):
+    """`--dump-spectrum` reference: log(1 + |fft2|), DC moved to the center by
+    fftshift, rescaled to [0, 255] and written as a PGM."""
+    scaled = np.log1p(np.abs(np.fft.fftshift(np.fft.fft2(img.pixels))))
+    lo, hi = scaled.min(), scaled.max()
+    return write_pgm(GrayImage((scaled - lo) * (255.0 / (hi - lo))))
 
 
 @pytest.fixture
@@ -170,10 +178,11 @@ class TestDenoise:
         argv = ["denoise", "--in", str(src), "--out", str(tmp_path / "out.pgm"), "--method", method]
         assert main([*argv, "--dump-spectrum", str(spectrum_pgm)]) == 0
         assert len(calls) == 1
-        assert spectrum_pgm.read_bytes() == write_pgm(log_magnitude(center_shift(dft2d(img))))
+        assert spectrum_pgm.read_bytes() == fft2_spectrum_view(img)
 
     def test_center_shift_only_for_spectrum_dump(self, tmp_path, monkeypatch):
-        # The pipeline keeps dft2d order; only the spectrum dump centres.
+        # The pipeline keeps dft2d order; only the spectrum dump centres, in
+        # log_magnitude.
         rng = np.random.default_rng(4)
         noisy = synthesize_moire(GrayImage(128.0 + 12.0 * rng.standard_normal((32, 48))),
                                  MoireSpec((MoireComponent(25.0, 0.25, 0.125, 0.3),)))
@@ -182,7 +191,7 @@ class TestDenoise:
         src = images / "in.pgm"
         src.write_bytes(write_pgm(noisy))
         calls = []
-        for module in (demoire.cli, demoire.spectral):
+        for module in (demoire.cli, demoire.spectral, demoire.transform):
             monkeypatch.setattr(module, "center_shift", lambda x: calls.append(1) or center_shift(x))
         argv = ["denoise", "--in", str(src), "--out", str(tmp_path / "out.pgm")]
         for method in ("notch", "spectral-median"):
@@ -429,6 +438,15 @@ def spectral_outputs(out_dir, bench, inputs):
             peaks[out.name] = [(int(u), int(v), float(m)) for u, v, m in rows]
     assert main(["bench", "--images", str(bench), "--out", str(out_dir / "bench.csv")]) == 0
     return pgms, peaks, (out_dir / "bench.csv").read_bytes()
+
+
+def test_spectrum_dump_bytes_match_fft2_reference(tmp_path, transform_pin_inputs):
+    _, inputs = transform_pin_inputs
+    for src in inputs:
+        out, spectrum_pgm = tmp_path / "out.pgm", tmp_path / f"{src.stem}.spectrum.pgm"
+        argv = ["denoise", "--in", str(src), "--out", str(out), "--method", "notch", "--dump-spectrum", str(spectrum_pgm)]
+        assert main(argv) == 0
+        assert spectrum_pgm.read_bytes() == fft2_spectrum_view(read_pgm(src.read_bytes()))
 
 
 def test_spectral_bytes_match_full_plane_transforms(tmp_path, transform_pin_inputs, monkeypatch):

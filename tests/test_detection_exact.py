@@ -8,6 +8,9 @@ bins that pass both. These tests keep the full-plane median as the reference
 and require identical ``PeakSet``s, including the cases where rounding, ties,
 many surviving bins and chunked gathers decide. They also require the tier-1
 bound never to fall below a brute-force count.
+
+Spectra are half planes, so the synthetic white planes are drawn as half
+planes too; detection sees the full plane of their mirrored magnitudes.
 """
 
 import numpy as np
@@ -22,7 +25,6 @@ from demoire import (
     PeakSet,
     RepairParams,
     Spectrum,
-    center_shift,
     detect_peaks,
     dft2d,
     synthesize_moire,
@@ -30,6 +32,8 @@ from demoire import (
 from demoire import spectral
 from demoire.noise import default_noise_corpus
 from demoire.synth import default_bench_images, make_filtered_field
+
+from test_transform import centered_spectrum, full_plane
 
 
 def reference_background(mag):
@@ -96,7 +100,7 @@ def test_off_bin_sinusoids_identical(shape, seed, monkeypatch):
     )
     spec = dft2d(synthesize_moire(img, MoireSpec(comps)))
     params = RepairParams()
-    exceeding = spectral._exceeds_background(np.abs(spec.data), np.ones(shape, bool), 10.0)
+    exceeding = spectral._exceeds_background(np.abs(full_plane(spec)), np.ones(shape, bool), 10.0)
     assert np.count_nonzero(exceeding) > 20  # leakage makes many bins exceed
     assert len(assert_same_detection(spec, params, monkeypatch)) > 4
 
@@ -106,7 +110,7 @@ def test_exceeds_mask_identical_off_bin():
     noisy = synthesize_moire(
         img, MoireSpec((MoireComponent(25.0, 40.4 / 257, 31.7 / 256, 0.5),))
     )
-    mag = np.abs(dft2d(noisy).data)
+    mag = np.abs(full_plane(dft2d(noisy)))
     background = reference_background(mag).astype(np.float64)
     everywhere = np.ones(mag.shape, dtype=bool)
     for threshold in (2.0, 10.0, 37.5):
@@ -118,7 +122,7 @@ def test_plateau_with_spike_ties(monkeypatch):
     data = np.full((64, 64), 5.0, dtype=complex)
     data[32 + 12, 32 + 3] = 500.0
     data[32 - 12, 32 - 3] = 500.0
-    spec = center_shift(Spectrum(data, centered=True))
+    spec = centered_spectrum(data)
     peaks = assert_same_detection(spec, RepairParams(), monkeypatch)
     assert sorted((p.u, p.v) for p in peaks) == [(20, 29), (44, 35)]
 
@@ -128,11 +132,11 @@ def test_bin_exactly_at_threshold_does_not_exceed(monkeypatch):
     data = np.full((64, 64), 4.0, dtype=complex)
     data[32 + 12, 32 + 3] = 40.0
     data[32 - 12, 32 - 3] = 40.0
-    spec = center_shift(Spectrum(data, centered=True))
+    spec = centered_spectrum(data)
     assert len(assert_same_detection(spec, RepairParams(), monkeypatch)) == 0
     data[32 + 12, 32 + 3] = np.nextafter(40.0, np.inf)
     data[32 - 12, 32 - 3] = np.nextafter(40.0, np.inf)
-    peaks = assert_same_detection(center_shift(Spectrum(data, centered=True)), RepairParams(), monkeypatch)
+    peaks = assert_same_detection(centered_spectrum(data), RepairParams(), monkeypatch)
     assert len(peaks) == 2
 
 
@@ -210,14 +214,16 @@ def test_chunked_gathers_identical(gather_limit, monkeypatch):
 @pytest.mark.parametrize("shape", [(48, 40), (47, 41)])
 @pytest.mark.parametrize("threshold,surviving", [(1.05, 0.25), (2.0, 0.0)])
 def test_survivor_heavy_white_spectrum_identical(shape, threshold, surviving, monkeypatch):
-    rng = np.random.default_rng(shape[0] + shape[1])
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    spec = center_shift(Spectrum(data, centered=True))
+    h, w = shape
+    rng = np.random.default_rng(h + w)
+    half = (h, w // 2 + 1)
+    spec = Spectrum(rng.standard_normal(half) + 1j * rng.standard_normal(half), w)
+    mag = np.abs(full_plane(spec))
     bound = spectral._count_bound(
-        np.pad(np.abs(data).astype(np.float32), spectral.ANNULUS_SIZE // 2, mode="wrap"),
-        (np.abs(data) / threshold).astype(np.float32),
+        np.pad(mag.astype(np.float32), spectral.ANNULUS_SIZE // 2, mode="wrap"),
+        (mag / threshold).astype(np.float32),
     )
-    assert np.count_nonzero(bound >= 208) >= surviving * data.size
+    assert np.count_nonzero(bound >= 208) >= surviving * mag.size
     assert_same_detection(spec, RepairParams(detect_threshold=threshold), monkeypatch)
 
 
@@ -228,7 +234,7 @@ def pairwise_detect(spec, params):
     toroidal distance to every kept peak exceeds repair_radius; the kept
     peaks' Hermitian mirrors are then added.
     """
-    data = center_shift(spec).data
+    data = np.fft.fftshift(full_plane(spec))
     h, w = data.shape
     cu, cv = h // 2, w // 2
     mag = np.abs(data)
@@ -258,18 +264,21 @@ def test_nms_matches_pairwise_loop_on_white_spectra(shape, threshold, radius):
     # of at least half the side makes every repair disk wrap onto itself.
     spec = dft2d(GrayImage(np.random.default_rng(shape[0] * shape[1]).standard_normal(shape)))
     params = RepairParams(detect_threshold=threshold, repair_radius=radius, window=2 * radius + 3)
-    candidates = np.count_nonzero(spectral._exceeds_background(np.abs(spec.data), np.ones(shape, bool), threshold))
+    mag = np.abs(full_plane(spec))
+    candidates = np.count_nonzero(spectral._exceeds_background(mag, np.ones(shape, bool), threshold))
     got = detect_peaks(spec, params)
     assert 0 < len(got) < candidates
     assert got == pairwise_detect(spec, params)
 
 
 def test_nms_ties_break_on_centered_labels():
-    # Equal spikes two rows apart across the wrap of dft2d order: rows 31 and
-    # 33 are rows 63 and 1 there, and the centered label 31 goes first.
+    # Equal spikes two rows apart across the wrap of dft2d order: rows 30,
+    # 32 and 34 are rows 62, 0 and 2 there, in column 44 and its mirror 20.
+    # The centered label 30 goes first and blocks 32, which leaves 34; in
+    # dft2d order row 0 (label 32) would go first and block both others.
     data = np.full((64, 64), 5.0, dtype=complex)
-    data[31, 20] = data[33, 20] = 500.0
-    spec = center_shift(Spectrum(data, centered=True))
+    data[30:35:2, 20] = data[30:35:2, 44] = 500.0
+    spec = centered_spectrum(data)
     peaks = detect_peaks(spec, RepairParams())
     assert peaks == pairwise_detect(spec, RepairParams())
-    assert [(p.u, p.v) for p in peaks] == [(31, 20), (33, 44)]
+    assert [(p.u, p.v) for p in peaks] == [(30, 20), (30, 44), (34, 20), (34, 44)]

@@ -9,7 +9,6 @@ from demoire import (
     PeakSet,
     RepairParams,
     Spectrum,
-    center_shift,
     denoise_moire,
     detect_peaks,
     dft2d,
@@ -21,6 +20,13 @@ from demoire import (
     synthesize_moire,
 )
 from demoire.synth import make_filtered_field
+
+from test_transform import centered_spectrum, full_plane
+
+
+def centered_full_plane(spec):
+    """The full plane of ``spec`` with DC at (H//2, W//2), the order of peak labels."""
+    return np.fft.fftshift(full_plane(spec))
 
 
 def paired_peaks(h, w, offsets, mag=1.0):
@@ -101,20 +107,24 @@ class TestDetectPeaks:
         peaks = detect_peaks(dft2d(noisy), RepairParams())
         assert len(peaks) == 0
 
-    def test_rejects_centered_spectrum(self):
-        spec = center_shift(dft2d(GrayImage(np.zeros((32, 32)))))
-        peaks = paired_peaks(32, 32, [(10, 4)])
-        with pytest.raises(ValueError, match="detect_peaks expects a spectrum in dft2d order"):
-            detect_peaks(spec, RepairParams())
-        with pytest.raises(ValueError, match="notch_reject expects a spectrum in dft2d order"):
-            notch_reject(spec, peaks, RepairParams())
-        with pytest.raises(ValueError, match="spectral_median expects a spectrum in dft2d order"):
-            spectral_median(spec, peaks, RepairParams())
-
     def test_rejects_tiny_spectrum(self):
         spec = dft2d(GrayImage(np.zeros((8, 8))))
         with pytest.raises(ValueError, match="at least 16x16"):
             detect_peaks(spec, RepairParams())
+
+
+@pytest.mark.parametrize("method", [notch_reject, spectral_median])
+def test_peak_without_its_mirror_is_repaired_with_it(method):
+    # The half plane holds only one bin of the pair (column 5 and its
+    # mirror, column 59): either alone repairs both.
+    img = make_filtered_field(64, 64, sigma=1.2, seed=5)
+    spec = dft2d(synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 5 / 64, 0.0),))))
+    params = RepairParams()
+    peaks = detect_peaks(spec, params)
+    assert len(peaks) == 2
+    want = method(spec, peaks, params).data
+    for peak in peaks:
+        assert np.array_equal(method(spec, PeakSet((peak,)), params).data, want)
 
 
 class TestNotchReject:
@@ -139,17 +149,18 @@ class TestNotchReject:
         spec = dft2d(noisy)
         peaks = detect_peaks(spec, RepairParams())
         out = notch_reject(spec, peaks, RepairParams())
-        assert np.sum(np.abs(out.data) ** 2) <= np.sum(np.abs(spec.data) ** 2)
+        assert np.sum(np.abs(full_plane(out)) ** 2) <= np.sum(np.abs(full_plane(spec)) ** 2)
 
     def test_untouched_bins_bit_identical(self):
         img = make_filtered_field(32, 32, sigma=1.2, seed=3)
         spec = dft2d(img)
         peaks = paired_peaks(32, 32, [(10, 4)])
-        out = notch_reject(spec, peaks, RepairParams())
-        zeroed = out.data == 0.0
-        assert np.array_equal(out.data[~zeroed], spec.data[~zeroed])
+        out = full_plane(notch_reject(spec, peaks, RepairParams()))
+        spec = full_plane(spec)
+        zeroed = out == 0.0
+        assert np.array_equal(out[~zeroed], spec[~zeroed])
         # two disks of radius 3 hold 29 bins each
-        assert np.count_nonzero(out.data == 0.0) >= 58
+        assert np.count_nonzero(out == 0.0) >= 58
 
 
 class TestSpectralMedian:
@@ -163,8 +174,8 @@ class TestSpectralMedian:
         data[16 + 5, 16] = 1e9
         data[16 - 5, 16] = 1e9
         peaks = paired_peaks(32, 32, [(5, 0)], mag=1e9)
-        out = spectral_median(center_shift(Spectrum(data, centered=True)), peaks, RepairParams())
-        assert np.allclose(out.data, 3.0, atol=1e-9)
+        out = spectral_median(centered_spectrum(data), peaks, RepairParams())
+        assert np.allclose(full_plane(out), 3.0, atol=1e-9)
 
     def test_poisoned_bins_never_donate(self):
         rng = np.random.default_rng(23)
@@ -178,8 +189,8 @@ class TestSpectralMedian:
                 if du * du + dv * dv <= 9:
                     poisoned[cu + 9 + du, cv + 5 + dv] = 1e30
                     poisoned[cu - 9 - du, cv - 5 - dv] = 1e30
-        out = spectral_median(center_shift(Spectrum(poisoned, centered=True)), peaks, RepairParams())
-        assert np.max(np.abs(out.data)) < 1e3
+        out = spectral_median(centered_spectrum(poisoned), peaks, RepairParams())
+        assert np.max(np.abs(full_plane(out))) < 1e3
 
     def test_untouched_bins_bit_identical(self):
         img = make_filtered_field(32, 32, sigma=1.2, seed=4)
@@ -187,9 +198,9 @@ class TestSpectralMedian:
         peaks = paired_peaks(32, 32, [(10, 4)])
         params = RepairParams()
         # Peaks carry centered labels, so compare in centered order.
-        out = center_shift(spectral_median(spec, peaks, params))
-        spec = center_shift(spec)
-        changed = out.data != spec.data
+        out = centered_full_plane(spectral_median(spec, peaks, params))
+        spec = centered_full_plane(spec)
+        changed = out != spec
         # every changed bin lies within repair_radius of a peak (wrap metric)
         for i, j in np.argwhere(changed):
             d2 = min(
@@ -199,7 +210,7 @@ class TestSpectralMedian:
             )
             assert d2 <= params.repair_radius**2
         untouched = ~changed
-        assert np.array_equal(out.data[untouched], spec.data[untouched])
+        assert np.array_equal(out[untouched], spec[untouched])
 
     def test_output_is_hermitian(self):
         img = make_filtered_field(64, 64, sigma=1.2, seed=5)
@@ -207,7 +218,7 @@ class TestSpectralMedian:
         spec = dft2d(noisy)
         peaks = detect_peaks(spec, RepairParams())
         out = spectral_median(spec, peaks, RepairParams())
-        data = out.data
+        data = full_plane(out)
         mirrored = np.conj(data[(-np.arange(64)) % 64][:, (-np.arange(64)) % 64])
         assert np.max(np.abs(data - mirrored)) <= 1e-9 * np.max(np.abs(data))
 
@@ -228,9 +239,10 @@ class TestSpectralMedian:
         assert np.array_equal(a.data, b.data)
 
 
-def loop_spectral_median(spec, peaks, params):
-    """Per-bin reference for spectral_median: one np.median per repaired bin."""
-    h, w = spec.shape
+def loop_spectral_median(src, peaks, params):
+    """Per-bin reference for spectral_median on a full plane in centered order:
+    one np.median per repaired bin, then pair-averaging with every mirror."""
+    h, w = src.shape
     mask = np.zeros((h, w), dtype=bool)
     r = params.repair_radius
     for p in peaks:
@@ -238,7 +250,6 @@ def loop_spectral_median(spec, peaks, params):
             for dv in range(-r, r + 1):
                 if du * du + dv * dv <= r * r:
                     mask[(p.u + du) % h, (p.v + dv) % w] = True
-    src = spec.data
     repaired = src.copy()
     offsets = np.arange(-(params.window // 2), params.window // 2 + 1)
     for i, j in np.argwhere(mask):
@@ -263,23 +274,42 @@ class TestSpectralMedianReference:
         params = RepairParams(window=window, repair_radius=radius)
         peaks = detect_peaks(spec, params)
         assert len(peaks) > 4
-        got = center_shift(spectral_median(spec, peaks, params)).data
-        assert np.array_equal(got, loop_spectral_median(center_shift(spec), peaks, params))
+        got = centered_full_plane(spectral_median(spec, peaks, params))
+        assert np.array_equal(got, loop_spectral_median(centered_full_plane(spec), peaks, params))
 
     def test_matches_per_bin_loop_with_zero_bins(self):
         # Zero-magnitude bins keep the estimate as a real value; even donor
         # counts take the midpoint of the two middle values.
-        data = np.zeros((32, 32), dtype=complex)
-        data[::3, ::2] = np.arange(1, 177).reshape(11, 16) * (1 + 1j)
+        data = np.zeros((32, 17), dtype=complex)
+        data[::3, ::2] = np.arange(1, 100).reshape(11, 9) * (1 + 1j)
+        spec = Spectrum(data, 32)
         peaks = paired_peaks(32, 32, [(5, 2), (7, 9)])
         params = RepairParams(window=5, repair_radius=1)
-        got = center_shift(spectral_median(center_shift(Spectrum(data, centered=True)), peaks, params)).data
-        assert np.array_equal(got, loop_spectral_median(Spectrum(data, centered=True), peaks, params))
+        got = centered_full_plane(spectral_median(spec, peaks, params))
+        assert np.array_equal(got, loop_spectral_median(centered_full_plane(spec), peaks, params))
+
+    @pytest.mark.parametrize("w", [32, 33])
+    def test_matches_per_bin_loop_in_self_mirror_columns(self, w):
+        # Turning the lower rows of the self-mirror columns (v = 0, and v = W/2
+        # for even W) by 90 degrees keeps every magnitude but breaks their
+        # Hermitian symmetry, so the bins repaired in them must be averaged
+        # with their conjugate mirrors, as the loop does.
+        data = dft2d(make_filtered_field(32, w, sigma=1.2, seed=w)).data.copy()
+        cols = [0, w // 2] if w % 2 == 0 else [0]
+        data[17:, cols] *= 1j
+        spec = Spectrum(data, w)
+        assert np.array_equal(np.abs(data), np.abs(dft2d(make_filtered_field(32, w, sigma=1.2, seed=w)).data))
+        # Peaks in centered column W//2 (v = 0), column 0 (v = W/2 for even W) and off them.
+        peaks = paired_peaks(32, w, [(4, 0), (3, -(w // 2)), (6, 5)])
+        params = RepairParams(window=5, repair_radius=2)
+        got = centered_full_plane(spectral_median(spec, peaks, params))
+        assert np.array_equal(got, loop_spectral_median(centered_full_plane(spec), peaks, params))
 
     def test_starvation_names_first_bin(self):
         spec = dft2d(GrayImage(np.full((32, 32), 50.0)))
         dense = [(du, dv) for du in range(4, 12) for dv in range(-4, 5)]
-        expected = r"^only 2 uncontaminated donor bins around spectrum bin \(6, 14\); increase window above 9$"
+        # The first bin of the half plane, in centered row-major order.
+        expected = r"^only 0 uncontaminated donor bins around spectrum bin \(6, 16\); increase window above 9$"
         with pytest.raises(ValueError, match=expected):
             spectral_median(spec, paired_peaks(32, 32, dense), RepairParams())
 

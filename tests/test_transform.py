@@ -18,6 +18,7 @@ from demoire import (
     spectral_median,
     synthesize_moire,
 )
+from demoire.core import _owned_image
 from demoire.synth import make_filtered_field
 from demoire.transform import _owned_spectrum
 
@@ -48,20 +49,42 @@ def mirror(arr):
     return arr[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
 
 
-# The full-plane transforms dft2d and idft2d computed before they used the
-# real-input half plane, kept as the reference for the pipeline's bytes.
+def full_plane(spec):
+    """The full H x W plane in dft2d order: the stored half plane, then each
+    column v > W//2 as the conjugate of column W - v with its rows mirrored."""
+    h, w = spec.shape
+    full = np.empty((h, w), dtype=complex)
+    full[:, : w // 2 + 1] = spec.data
+    for v in range(w // 2 + 1, w):
+        full[:, v] = np.conj(spec.data[(-np.arange(h)) % h, w - v])
+    return full
+
+
+def centered_spectrum(data):
+    """The Spectrum whose full plane, with DC moved to (H//2, W//2), is ``data``.
+
+    ``data`` must be the conjugate-mirror expansion of its own half plane.
+    """
+    h, w = data.shape
+    full = np.fft.ifftshift(data)
+    spec = Spectrum(full[:, : w // 2 + 1], w)
+    assert np.array_equal(full_plane(spec), full), "data is not the expansion of a half plane"
+    return spec
+
+
+# The full-plane complex transforms, adapted to the half-plane Spectrum, kept
+# as the reference for the pipeline's bytes: the forward transform is the left
+# half of fft2, the inverse runs ifft2 on the conjugate-mirror expansion.
 _IMAG_REL_TOL = 1e-6
 _IMAG_ABS_FLOOR = 1e-9
 
 
 def fft2_dft2d(img):
-    return Spectrum(np.fft.fft2(img.pixels), centered=False)
+    return Spectrum(np.fft.fft2(img.pixels)[:, : img.width // 2 + 1], img.width)
 
 
 def ifft2_idft2d(spec):
-    if spec.centered:
-        raise ValueError("spectrum is centered: apply center_shift before the inverse transform")
-    inv = np.fft.ifft2(spec.data)
+    inv = np.fft.ifft2(full_plane(spec))
     max_imag = float(np.max(np.abs(inv.imag)))
     max_real = float(np.max(np.abs(inv.real)))
     if max_imag > _IMAG_REL_TOL * max_real and max_imag > _IMAG_ABS_FLOOR:
@@ -86,13 +109,19 @@ class TestDft2d:
     def test_single_bin(self):
         spec = dft2d(GrayImage(np.array([[42.0]])))
         assert spec.data[0, 0] == 42.0 + 0.0j
-        assert not spec.centered
+        assert spec.data.shape == (1, 1) and spec.shape == (1, 1)
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 2), (5, 8), (5, 9), (256, 320)])
+    def test_stores_half_plane(self, h, w):
+        spec = dft2d(random_image(h, w))
+        assert spec.data.shape == (h, w // 2 + 1)
+        assert spec.shape == (h, w) and spec.width == w and spec.height == h
 
     @pytest.mark.parametrize("h,w", [(8, 8), (6, 10)])
     def test_constant_image(self, h, w):
         spec = dft2d(GrayImage(np.full((h, w), 7.0)))
         assert spec.data[0, 0] == pytest.approx(7.0 * h * w, abs=1e-9)
-        rest = spec.data.copy()
+        rest = full_plane(spec)
         rest[0, 0] = 0.0
         assert np.max(np.abs(rest)) <= 1e-9
 
@@ -101,10 +130,10 @@ class TestDft2d:
         img = GrayImage(np.broadcast_to(np.cos(2.0 * np.pi * 2.0 * x / 8.0), (8, 8)).copy())
         spec = dft2d(img)
         oracle = dft2d_oracle(img.pixels)
-        assert np.max(np.abs(spec.data - oracle)) <= 1e-9
+        assert np.max(np.abs(full_plane(spec) - oracle)) <= 1e-9
         assert spec.data[2, 0] == pytest.approx(32.0 + 0.0j, abs=1e-9)
         assert spec.data[6, 0] == pytest.approx(32.0 + 0.0j, abs=1e-9)
-        rest = spec.data.copy()
+        rest = full_plane(spec)
         rest[2, 0] = rest[6, 0] = 0.0
         assert np.max(np.abs(rest)) <= 1e-9
 
@@ -115,23 +144,23 @@ class TestDft2d:
         rng = np.random.default_rng(h * 100 + w)
         img = GrayImage(rng.random((h, w)) * 255)
         spec = dft2d(img)
-        assert np.max(np.abs(spec.data - dft2d_oracle(img.pixels))) <= 1e-9
+        assert np.max(np.abs(full_plane(spec) - dft2d_oracle(img.pixels))) <= 1e-9
 
     @pytest.mark.parametrize(
         "h,w", [(1, 1), (1, 2), (2, 1), (1, 8), (1, 9), (8, 1), (9, 1), (2, 2), (6, 9), (9, 6), (16, 16), (257, 16)]
     )
     def test_exactly_hermitian(self, h, w):
-        s = dft2d(random_image(h, w)).data
+        s = full_plane(dft2d(random_image(h, w)))
         assert np.array_equal(s, np.conj(mirror(s)))
 
     def test_exactly_hermitian_at_pipeline_shapes(self):
         for h, w in [(256, 256), (240, 256), (256, 320), (257, 256)]:
-            s = dft2d(make_filtered_field(h, w, sigma=0.7, seed=h + w)).data
+            s = full_plane(dft2d(make_filtered_field(h, w, sigma=0.7, seed=h + w)))
             assert np.array_equal(s, np.conj(mirror(s)))
 
     def test_left_half_is_rfft2(self):
-        # Only the bins rfft2 does not reach, or rounds asymmetrically in the
-        # self-mirror columns, are replaced by their mirrors.
+        # Only the lower rows of the self-mirror columns, which rfft2 rounds
+        # asymmetrically, are replaced by their mirrors.
         img = random_image(9, 6)
         s, r = dft2d(img).data, np.fft.rfft2(img.pixels)
         assert np.array_equal(s[:5, :4], r[:5])
@@ -147,35 +176,30 @@ class TestIdft2d:
 
     def test_dc_only_gives_constant(self):
         h, w = 6, 9
-        data = np.zeros((h, w), dtype=complex)
+        data = np.zeros((h, w // 2 + 1), dtype=complex)
         data[0, 0] = h * w * 3.5
-        out = idft2d(Spectrum(data))
+        out = idft2d(Spectrum(data, w))
         assert np.allclose(out.pixels, 3.5, atol=1e-12)
 
     def test_conjugate_pair_gives_cosine(self):
-        data = np.zeros((8, 8), dtype=complex)
+        data = np.zeros((8, 5), dtype=complex)
         data[2, 0] = 32.0
         data[6, 0] = 32.0
-        out = idft2d(Spectrum(data))
+        out = idft2d(Spectrum(data, 8))
         x = np.arange(8)[:, None]
         want = np.broadcast_to(np.cos(2.0 * np.pi * 2.0 * x / 8.0), (8, 8))
         assert np.max(np.abs(out.pixels - want)) <= 1e-9
-
-    def test_rejects_centered_input(self):
-        spec = center_shift(dft2d(GrayImage(np.zeros((4, 4)))))
-        with pytest.raises(ValueError, match="centered"):
-            idft2d(spec)
 
     def test_detects_broken_symmetry(self):
         rng = np.random.default_rng(8)
         spec = dft2d(GrayImage(rng.random((16, 16)) * 255))
         data = spec.data.copy()
-        data[3, 5] += 1e5j  # asymmetric edit
+        data[3, 8] += 1e5j  # asymmetric edit in the self-mirror column v = W/2
         with pytest.raises(ValueError, match="Hermitian"):
-            idft2d(Spectrum(data))
+            idft2d(Spectrum(data, 16))
 
     def test_all_zero_spectrum_ok(self):
-        out = idft2d(Spectrum(np.zeros((4, 4), dtype=complex)))
+        out = idft2d(Spectrum(np.zeros((4, 3), dtype=complex), 4))
         assert np.array_equal(out.pixels, np.zeros((4, 4)))
 
     @pytest.mark.parametrize("method", [notch_reject, spectral_median])
@@ -188,13 +212,14 @@ class TestIdft2d:
         peaks = detect_peaks(spec, params)
         assert len(peaks) > 0
         repaired = method(spec, peaks, params)
-        want = np.fft.ifft2(repaired.data).real
+        want = np.fft.ifft2(full_plane(repaired)).real
         assert np.max(np.abs(idft2d(repaired).pixels - want)) <= 1e-9
 
 
-def edit_right_half(data):
-    h, w = data.shape
-    data[h // 3, w - 1] += 1e-4 * np.abs(data).max()
+# Edits of a half plane that break the symmetry of its self-mirror columns.
+def edit_column_0_lower_row(data):
+    h, _ = data.shape
+    data[h - h // 3, 0] += 1e-4 * np.abs(data).max()
 
 
 def edit_column_0_imag(data):
@@ -203,8 +228,9 @@ def edit_column_0_imag(data):
 
 
 def edit_column_half(data):
-    h, w = data.shape
-    data[h // 3, w // 2] += 1e-4 * np.abs(data).max()
+    # The last column of the half plane of an even width W is v = W/2.
+    h, _ = data.shape
+    data[h // 3, -1] += 1e-4 * np.abs(data).max()
 
 
 def edit_dc_imag(data):
@@ -212,12 +238,12 @@ def edit_dc_imag(data):
 
 
 class TestHermitianGuard:
-    """idft2d inverts only the half plane, so it must test what irfft2 cannot see."""
+    """irfft2 takes the Hermitian part of the self-mirror columns, so idft2d must test them."""
 
     @pytest.mark.parametrize(
         "edit, shapes",
         [
-            (edit_right_half, [(1, 7), (6, 9), (9, 6), (257, 16)]),  # W >= 3: there is a right half
+            (edit_column_0_lower_row, [(7, 1), (6, 9), (9, 6), (257, 16)]),  # H >= 3: there is a lower row
             (edit_column_0_imag, [(7, 1), (6, 9), (9, 6), (257, 16)]),  # H >= 2: not the DC
             (edit_column_half, [(9, 6), (257, 16)]),  # even W
             (edit_dc_imag, GUARD_SHAPES),
@@ -228,17 +254,11 @@ class TestHermitianGuard:
             data = dft2d(random_image(h, w)).data.copy()
             edit(data)
             with pytest.raises(ValueError, match="Hermitian"):
-                idft2d(Spectrum(data))
-
-    def test_right_half_edit_invisible_to_half_plane_inverse(self):
-        img = random_image(6, 9)
-        data = dft2d(img).data.copy()
-        edit_right_half(data)
-        assert np.array_equal(np.fft.irfft2(data[:, :5], s=(6, 9)), idft2d(dft2d(img)).pixels)
+                idft2d(Spectrum(data, w))
 
     @pytest.mark.parametrize("h,w", GUARD_SHAPES)
     def test_accepts_all_zero_spectrum(self, h, w):
-        out = idft2d(Spectrum(np.zeros((h, w), dtype=complex)))
+        out = idft2d(Spectrum(np.zeros((h, w // 2 + 1), dtype=complex), w))
         assert np.array_equal(out.pixels, np.zeros((h, w)))
 
     @pytest.mark.parametrize("forward", [dft2d, fft2_dft2d], ids=["dft2d", "fft2"])
@@ -247,8 +267,10 @@ class TestHermitianGuard:
         # With the full-plane fft2, what is left after the notch is rounding
         # noise that is Hermitian only to rounding: the absolute floor holds.
         data = forward(pure_sinusoid(h, w)).data.copy()
-        data[h // 3, w // 3] = data[-(h // 3) % h, -(w // 3) % w] = 0.0
-        out = idft2d(Spectrum(data))
+        for u, v in ((h // 3, w // 3), (-(h // 3) % h, -(w // 3) % w)):
+            if v <= w // 2:  # the half plane holds the bin
+                data[u, v] = 0.0
+        out = idft2d(Spectrum(data, w))
         assert np.max(np.abs(out.pixels)) <= 1e-9
 
     @pytest.mark.parametrize("scale", [1.0, 1e8])
@@ -257,22 +279,22 @@ class TestHermitianGuard:
         # fft2 output is Hermitian only to rounding, which grows with the
         # values: the relative test admits it at large values.
         img = GrayImage(random_image(h, w).pixels * scale)
-        back = idft2d(Spectrum(np.fft.fft2(img.pixels)))
+        back = idft2d(fft2_dft2d(img))
         assert np.max(np.abs(back.pixels - img.pixels)) <= 1e-9 * scale
 
 
 class TestSpectrumOwnership:
     def test_public_constructor_copies(self):
         data = np.ones((3, 4), dtype=complex)
-        spec = Spectrum(data)
+        spec = Spectrum(data, 6)
         data[0, 0] = 5.0
         assert spec.data[0, 0] == 1.0
         assert not spec.data.flags.writeable
 
     def test_owned_spectrum_keeps_array_and_freezes_it(self):
         data = np.ones((3, 4), dtype=complex)
-        spec = _owned_spectrum(data, centered=True)
-        assert spec.data is data and spec.centered
+        spec = _owned_spectrum(data, 7)
+        assert spec.data is data and spec.shape == (3, 7)
         assert not data.flags.writeable
 
     @pytest.mark.parametrize(
@@ -285,10 +307,20 @@ class TestSpectrumOwnership:
         ],
     )
     def test_owned_spectrum_validates(self, data, problem):
+        w = 2 * (data.shape[-1] - 1)  # a width that fits the columns
         with pytest.raises(ValueError, match=problem):
-            _owned_spectrum(data)
+            _owned_spectrum(data, w)
         with pytest.raises(ValueError, match=problem):
-            Spectrum(data)
+            Spectrum(data, w)
+
+    @pytest.mark.parametrize("constructor", [Spectrum, _owned_spectrum], ids=["public", "owned"])
+    def test_rejects_half_plane_of_other_width(self, constructor):
+        # 4 columns are the half plane of widths 6 and 7 only.
+        for w in (6, 7):
+            assert constructor(np.ones((3, 4), dtype=complex), w).shape == (3, w)
+        for w in (-1, 0, 4, 5, 8, 9):
+            with pytest.raises(ValueError, match=f"width {w} holds {w // 2 + 1} columns, got 4$"):
+                constructor(np.ones((3, 4), dtype=complex), w)
 
     def test_outputs_read_only(self):
         img = make_filtered_field(64, 64, sigma=1.2, seed=3)
@@ -297,56 +329,90 @@ class TestSpectrumOwnership:
         spec = dft2d(noisy)
         peaks = detect_peaks(spec, params)
         assert len(peaks) == 2
-        outputs = (spec, center_shift(spec), notch_reject(spec, peaks, params), spectral_median(spec, peaks, params))
+        outputs = (spec, notch_reject(spec, peaks, params), spectral_median(spec, peaks, params))
         assert not any(out.data.flags.writeable for out in outputs)
+        assert not idft2d(spec).pixels.flags.writeable
+
+
+class TestImageOwnership:
+    def test_public_constructor_copies(self):
+        pixels = np.ones((3, 4))
+        img = GrayImage(pixels)
+        pixels[0, 0] = 5.0
+        assert img.pixels[0, 0] == 1.0
+        assert not img.pixels.flags.writeable
+
+    def test_owned_image_keeps_array_and_freezes_it(self):
+        pixels = np.ones((3, 4))
+        img = _owned_image(pixels)
+        assert img.pixels is pixels and img.shape == (3, 4)
+        assert not pixels.flags.writeable
+
+    @pytest.mark.parametrize(
+        "pixels, problem",
+        [
+            (np.ones(4), "2D"),
+            (np.ones((0, 4)), "at least 1x1"),
+            (np.array([[1.0, np.inf]]), "finite"),
+            (np.array([[np.nan, 1.0]]), "finite"),
+        ],
+    )
+    def test_owned_image_validates(self, pixels, problem):
+        with pytest.raises(ValueError, match=problem):
+            _owned_image(pixels)
+        with pytest.raises(ValueError, match=problem):
+            GrayImage(pixels)
+
+    def test_inverse_hands_over_its_output(self, monkeypatch):
+        # idft2d wraps the fresh irfft2 output without a second copy.
+        made = []
+        irfft2 = np.fft.irfft2
+        monkeypatch.setattr(np.fft, "irfft2", lambda *a, **k: made.append(irfft2(*a, **k)) or made[-1])
+        out = idft2d(dft2d(random_image(6, 9)))
+        assert out.pixels is made[0]
+        assert not out.pixels.flags.writeable
 
 
 class TestCenterShift:
-    def test_even_self_inverse(self):
-        rng = np.random.default_rng(31)
-        spec = Spectrum(rng.random((6, 8)) + 1j * rng.random((6, 8)))
-        back = center_shift(center_shift(spec))
-        assert np.array_equal(back.data, spec.data)
-        assert back.centered == spec.centered
-
     def test_dc_lands_at_center(self):
-        data = np.zeros((4, 4), dtype=complex)
+        data = np.zeros((4, 3), dtype=complex)
         data[0, 0] = 1.0
-        shifted = center_shift(Spectrum(data))
-        assert shifted.centered
-        assert shifted.data[2, 2] == 1.0
-        assert np.count_nonzero(shifted.data) == 1
+        shifted = center_shift(Spectrum(data, 4))
+        assert shifted.shape == (4, 4)
+        assert shifted[2, 2] == 1.0
+        assert np.count_nonzero(shifted) == 1
 
     def test_odd_dims_roll_back(self):
         rng = np.random.default_rng(32)
-        data = rng.random((5, 5)) + 1j * rng.random((5, 5))
-        spec = Spectrum(data)
+        spec = Spectrum(rng.random((5, 3)) + 1j * rng.random((5, 3)), 5)
+        mag = np.abs(full_plane(spec))
         shifted = center_shift(spec)
         # Index-permutation oracle: position (i, j) moves to ((i+2)%5, (j+2)%5).
         for i in range(5):
             for j in range(5):
-                assert shifted.data[(i + 2) % 5, (j + 2) % 5] == data[i, j]
-        restored = center_shift(shifted)
-        assert not restored.centered
-        assert np.array_equal(restored.data, data)
+                assert shifted[(i + 2) % 5, (j + 2) % 5] == mag[i, j]
+        # Rolling back takes the complementary offset on odd axes.
+        assert np.array_equal(np.fft.ifftshift(shifted), mag)
 
-    def test_toggles_flag(self):
-        spec = Spectrum(np.ones((4, 4), dtype=complex))
-        assert center_shift(spec).centered
-        assert not center_shift(center_shift(spec)).centered
+    @pytest.mark.parametrize("h,w", [(6, 8), (7, 5), (16, 9), (257, 256)])
+    def test_matches_shifted_fft2_magnitude(self, h, w):
+        img = random_image(h, w)
+        want = np.abs(np.fft.fftshift(np.fft.fft2(img.pixels)))
+        assert np.max(np.abs(center_shift(dft2d(img)) - want)) <= 1e-12 * want.max()
 
 
 class TestLogMagnitude:
     def test_zero_spectrum(self):
-        out = log_magnitude(Spectrum(np.zeros((4, 5), dtype=complex)))
+        out = log_magnitude(Spectrum(np.zeros((4, 3), dtype=complex), 5))
         assert np.array_equal(out.pixels, np.zeros((4, 5)))
 
     def test_single_nonzero_bin(self):
-        data = np.zeros((4, 4), dtype=complex)
-        data[1, 2] = 50.0
-        out = log_magnitude(Spectrum(data))
-        assert out.pixels[1, 2] == 255.0
-        assert np.count_nonzero(out.pixels) == 1
+        # Bin (1, 1) of the half plane and its mirror (3, 4), both centered.
+        data = np.zeros((4, 3), dtype=complex)
+        data[1, 1] = 50.0
+        out = log_magnitude(Spectrum(data, 5))
+        assert out.pixels[3, 3] == out.pixels[1, 1] == 255.0
+        assert np.count_nonzero(out.pixels) == 2
 
     def test_moire_spectrum_shows_bright_pair(self):
         from demoire import MoireComponent, MoireSpec, synthesize_moire
@@ -355,7 +421,7 @@ class TestLogMagnitude:
         noisy = synthesize_moire(
             base, MoireSpec((MoireComponent(20.0, 12 / 64, 0.0, 0.0),))
         )
-        view = log_magnitude(center_shift(dft2d(noisy))).pixels
+        view = log_magnitude(dft2d(noisy)).pixels
         flat = view.copy()
         flat[32, 32] = 0.0  # ignore DC
         top = np.argsort(flat.ravel())[-2:]
@@ -370,7 +436,7 @@ class TestProperties:
             img = GrayImage(rng.random((h, w)) * 255)
             spec = dft2d(img)
             lhs = np.sum(img.pixels**2)
-            rhs = np.sum(np.abs(spec.data) ** 2) / (h * w)
+            rhs = np.sum(np.abs(full_plane(spec)) ** 2) / (h * w)
             assert abs(lhs - rhs) <= 1e-9 * lhs
 
     def test_linearity(self):
@@ -391,7 +457,7 @@ class TestProperties:
             else:
                 h, w = rng.integers(1, 33, 2)
             img = GrayImage(rng.random((int(h), int(w))) * 255)
-            s = dft2d(img).data
+            s = full_plane(dft2d(img))
             err = np.max(np.abs(s - np.conj(mirror(s))))
             assert err <= 1e-9 * max(np.max(np.abs(s)), 1.0)
 
