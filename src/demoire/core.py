@@ -115,7 +115,8 @@ def mse(a: GrayImage, b: GrayImage) -> float:
     """Mean squared error between two images of identical dimensions."""
     _require_same_shape(a, b)
     diff = a.pixels - b.pixels
-    return float(np.mean(diff * diff))
+    np.multiply(diff, diff, out=diff)
+    return float(np.mean(diff))
 
 
 def psnr(a: GrayImage, b: GrayImage) -> QualityReport:

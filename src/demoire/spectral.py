@@ -8,12 +8,18 @@ neighbors, which preserves the underlying image content.
 
 Spectra are the ``rfft2`` half plane in ``dft2d`` order (DC at (0, 0)).
 Detection and the donor windows read the magnitude of the full H x W plane,
-mirrored out of the half plane, so every peak is found together with its
-mirror; the repairs write only the half plane. All neighborhood geometry
-(detection annulus, repair disks, donor windows) wraps periodically, matching
-the periodicity of the discrete spectrum, so none of it depends on where DC
-sits. Peaks carry centered labels, DC at (H//2, W//2): bin k of an axis of n
-bins is labelled (k + n//2) % n.
+mirrored out of the half plane (``Spectrum.magnitude``, built once per
+spectrum), so every peak is found together with its mirror; the repairs
+write only the half plane. The magnitude is point-symmetric off the
+self-mirror columns, so the local-background test is computed only on the
+column band -10 .. W//2 + 10, the half plane widened by the annulus radius,
+and the other columns take the verdicts of their mirrors. Its tier-1 count
+bound runs each tile compare as one contiguous 1-D compare in a row-strided
+layout. Together these halve a 256x256 bench call (``benchmarks/detect.py``).
+All neighborhood geometry (detection annulus, repair disks, donor windows)
+wraps periodically, matching the periodicity of the discrete spectrum, so
+none of it depends on where DC sits. Peaks carry centered labels, DC at
+(H//2, W//2): bin k of an axis of n bins is labelled (k + n//2) % n.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import GrayImage
 # perfbench/spans.py wraps center_shift in this module, so it stays importable here.
-from .transform import Spectrum, _full_magnitude, _owned_spectrum, center_shift, dft2d, idft2d  # noqa: F401
+from .transform import Spectrum, _owned_spectrum, center_shift, dft2d, idft2d  # noqa: F401
 
 __all__ = [
     "Peak",
@@ -160,6 +166,21 @@ def _annulus_footprint() -> np.ndarray:
     return footprint
 
 
+def _tile_groups() -> dict[int, list[tuple[int, int]]]:
+    """Offsets of the _TILE x _TILE tiles that cover the annulus window, keyed
+    by weight: the number of annulus cells a tile holds (0 is left out)."""
+    n = ANNULUS_SIZE // _TILE
+    weights = _annulus_footprint().reshape(n, _TILE, n, _TILE).sum(axis=(1, 3))
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), weight in np.ndenumerate(weights):
+        if weight:
+            groups.setdefault(int(weight), []).append((a * _TILE, b * _TILE))
+    return groups
+
+
+_TILE_GROUPS = _tile_groups()
+
+
 def _window_min(plane: np.ndarray, side: int) -> np.ndarray:
     """Minimum over every side x side window of the plane, one axis at a time."""
     n = plane.shape[0] - side + 1
@@ -183,20 +204,32 @@ def _count_bound(padded: np.ndarray, limit: np.ndarray) -> np.ndarray:
     the bound. So the bound is never below the exact count, and it costs one
     compare per tile instead of one per annulus cell. Tiles of equal weight
     are counted together in uint8 (at most 49 tiles) and weighted once.
+
+    The limit is laid out with the row stride of the tile minima, so the
+    compare for the tile at offset (a, b) is one contiguous 1-D compare from
+    flat position a * stride + b, not a 2-D slice over many short rows. The
+    columns past the limit's width only pad the stride and are dropped.
     """
     h, w = limit.shape
-    n = ANNULUS_SIZE // _TILE
-    weights = _annulus_footprint().reshape(n, _TILE, n, _TILE).sum(axis=(1, 3))
     least = _window_min(padded, _TILE)
-    hit = np.empty((h, w), dtype=bool)
-    bound = np.zeros((h, w), dtype=np.int16)
-    for weight in np.unique(weights[weights > 0]):
-        tiles = np.zeros((h, w), dtype=np.uint8)
-        for a, b in np.argwhere(weights == weight) * _TILE:
-            np.less(least[a : a + h, b : b + w], limit, out=hit)
+    stride = least.shape[1]
+    size = (h - 1) * stride + w  # from the first bin to the last, in the strided layout
+    strided = np.zeros((h, stride), dtype=np.float32)
+    strided[:, :w] = limit
+    flat_limit = strided.reshape(-1)[:size]
+    flat_least = least.reshape(-1)
+    hit = np.empty(size, dtype=bool)
+    tiles = np.empty(size, dtype=np.uint8)
+    bound = np.zeros((h, stride), dtype=np.int16)
+    flat_bound = bound.reshape(-1)[:size]
+    for weight, offsets in _TILE_GROUPS.items():
+        tiles.fill(0)
+        for a, b in offsets:
+            start = a * stride + b
+            np.less(flat_least[start : start + size], flat_limit, out=hit)
             np.add(tiles, hit.view(np.uint8), out=tiles)
-        bound += tiles.astype(np.int16) * int(weight)
-    return bound
+        flat_bound += tiles.astype(np.int16) * weight
+    return bound[:, :w]
 
 
 def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: float) -> np.ndarray:
@@ -210,8 +243,20 @@ def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: floa
     is rounded up (relative slack 1e-6, then one float32 step) so float32 and
     float64 rounding can only let more bins through, never fewer.
 
+    ``mag`` is a full plane in dft2d order that is point-symmetric, mag[-k]
+    == mag[k], off the self-mirror columns (0, and W/2 for even W), as
+    ``Spectrum.magnitude`` is. The annulus is point-symmetric too, so a bin
+    whose annulus misses those columns has the same count, median and
+    verdict as its mirror. Only the column band -r .. W//2 + r (r = 10,
+    wrapping; the whole plane when W <= 42) is computed: it holds the half
+    plane and every bin whose annulus reaches a self-mirror column. The
+    other columns are copied from their mirrors (row -u, column -v). The
+    band is computed for the candidates and their mirrors, and the result is
+    masked by ``candidates`` last, so any candidate mask gives the exact
+    answer.
+
     The count is tested in two tiers. Tier 1 bounds it from above for the
-    whole plane with one compare per tile (``_count_bound``); bins whose
+    whole band with one compare per tile (``_count_bound``); bins whose
     bound is below 208 cannot exceed. Tier 2 gathers the 21x21 window of
     each surviving bin and counts its annulus exactly. The few bins that
     still pass get the exact float32 median and the float64 test
@@ -222,19 +267,39 @@ def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: floa
     the spectra of textured images (it keeps under 1.5%). Where small bins
     are scattered so that most tiles hold one (a flat spectrum with a
     near-zero bin every third row and column keeps 88%), each kept window
-    costs a gather, and detection is several times slower than 416
-    whole-plane compares (``benchmarks/detect.py``).
+    costs a gather. There a 256x256 call takes about 40 ms, and a white
+    spectrum at threshold 3 about 24 ms, against 20 and 24 ms for 416
+    whole-plane compares (``benchmarks/detect.py``, ``BENCH_12.json`` and
+    ``BENCH_5.json``).
     """
     h, w = mag.shape
     r = ANNULUS_SIZE // 2
     footprint = _annulus_footprint()
     half = footprint.sum() // 2
-    padded = np.pad(mag.astype(np.float32), r, mode="wrap")
+    n = min(w, w // 2 + 2 * r + 1)
 
-    raised = (mag / threshold * (1.0 + 1e-6)).astype(np.float32)
+    def band(plane):
+        """A copy of the band's columns of ``plane``: band column j is plane column j - r."""
+        return np.concatenate((plane[:, w - r :], plane[:, : n - r]), axis=1)
+
+    # The band wrapped by r on every side: padded column j is plane column j - 2r.
+    padded = np.pad(mag.astype(np.float32), ((r, r), (2 * r, 0)), mode="wrap")[:, : n + 2 * r]
+    mirrored = np.roll(candidates[::-1, ::-1], 1, axis=(0, 1))  # mirrored[k] = candidates[-k]
+    chosen = band(candidates | mirrored)
+
+    raised = band(mag)
+    raised /= threshold
+    raised *= 1.0 + 1e-6
+    limit = raised.astype(np.float32)
+    # One float32 step up, as np.nextafter(limit, inf) but without its
+    # per-element cost: limit >= 0, so that is the next bit pattern, and
+    # +inf (whose next pattern is a NaN) stays +inf.
+    bits = limit.view(np.uint32)
+    bits += 1
+    np.minimum(bits, np.float32(np.inf).view(np.uint32), out=bits)
     # A limit of 0 admits no magnitude, so non-candidates never pass.
-    limit = np.where(candidates, np.nextafter(raised, np.float32(np.inf)), np.float32(0.0))
-    rows, cols = np.nonzero(_count_bound(padded, limit) >= half)
+    limit[~chosen] = 0.0
+    rows, cols = np.divmod(np.flatnonzero(_count_bound(padded, limit) >= half), n)
 
     exceeds = np.zeros((h, w), dtype=bool)
     windows = sliding_window_view(padded, (ANNULUS_SIZE, ANNULUS_SIZE))
@@ -249,10 +314,14 @@ def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: floa
         count = below.reshape(u.size, -1).sum(axis=1, dtype=np.int16)
         count -= below[:, core, core].sum(axis=(1, 2), dtype=np.int16)
         counted = count >= half
-        u, v = u[counted], v[counted]
+        u, v = u[counted], (v[counted] - r) % w
         background = np.median(window[counted][:, footprint], axis=1).astype(np.float64)
         exceeds[u, v] = mag[u, v] > threshold * background
-    return exceeds
+    # Columns n - r .. w - r - 1 are the mirrors of columns w - n + r .. r + 1.
+    k = w - n
+    exceeds[0, n - r : w - r] = exceeds[0, r + k : r : -1]
+    exceeds[1:, n - r : w - r] = exceeds[:0:-1, r + k : r : -1]
+    return exceeds & candidates
 
 
 def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
@@ -260,8 +329,10 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
 
     The local background is the median magnitude of the annulus around each
     bin; it is computed exactly, but only for the bins that pass a two-tier
-    rank-count prescreen: a whole-plane upper bound from 3x3 tile minima,
-    then the exact count on the survivors (see ``_exceeds_background``).
+    rank-count prescreen: an upper bound from 3x3 tile minima, then the
+    exact count on the survivors. Both run on a column band around the half
+    plane; the other bins take their mirrors' verdicts (see
+    ``_exceeds_background``).
     Bins within the DC guard are ignored, non-maximum suppression keeps one
     bin per repair disk, and the result is symmetrized so every peak's
     Hermitian mirror is present. Detection runs on the full magnitude plane
@@ -273,13 +344,14 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
             f"spectrum {h}x{w} is too small for the {ANNULUS_SIZE}x{ANNULUS_SIZE} detection "
             f"annulus; images must be at least {MIN_DETECT_DIM}x{MIN_DETECT_DIM}"
         )
-    mag = _full_magnitude(spec)
+    mag = spec.magnitude
     guard = params.resolved_guard(h, w)
     fu = (_centered(np.arange(h), h) - h // 2)[:, np.newaxis]  # signed frequencies
     fv = (_centered(np.arange(w), w) - w // 2)[np.newaxis, :]
     outside_guard = fu * fu + fv * fv > guard * guard
     eligible = outside_guard & (mag > MAG_FLOOR_REL * float(mag.max()))
-    u, v = np.nonzero(_exceeds_background(mag, eligible, params.detect_threshold))
+    # Flat indices: np.nonzero walks a 2-D mask element by element.
+    u, v = np.divmod(np.flatnonzero(_exceeds_background(mag, eligible, params.detect_threshold)), w)
     if u.size == 0:
         return PeakSet(())
 
@@ -361,7 +433,7 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
         return spec
     mask = _contamination_mask(h, w, peaks, params.repair_radius)
     src = spec.data
-    mag = _full_magnitude(spec)
+    mag = spec.magnitude
     repaired = src.copy()
     # Centered row-major order: a donor shortage names the first bin by its label.
     bins = np.argwhere(mask[:, : w // 2 + 1])

@@ -15,6 +15,7 @@ pairs within the half plane: ``dft2d`` makes them exactly Hermitian, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,24 @@ class Spectrum:
     def shape(self) -> tuple[int, int]:
         return self.height, self.width
 
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        """|S| over the full H x W plane in dft2d order, mirrored out of the half plane.
+
+        Built on first use and kept, read-only, so detection, the median repair
+        and the display view of one spectrum share one plane. Off the
+        self-mirror columns it is exactly point-symmetric: bin -k is a copy of
+        bin k.
+        """
+        h, w = self.shape
+        mag = np.empty((h, w))
+        np.abs(self.data, out=mag[:, : w // 2 + 1])
+        k = (w - 1) // 2
+        mag[0, w // 2 + 1 :] = mag[0, k:0:-1]
+        mag[1:, w // 2 + 1 :] = mag[:0:-1, k:0:-1]
+        mag.flags.writeable = False
+        return mag
+
 
 def _owned_spectrum(data: np.ndarray, width: int) -> Spectrum:
     """A Spectrum over the fresh complex128 ``data``, not copied, as in :func:`core._owned_image`."""
@@ -79,17 +98,6 @@ def _self_mirror_columns(data: np.ndarray, w: int):
     k = (h - 1) // 2
     cols = data[:, _self_mirror(w)]
     return cols[h - k :], cols[k:0:-1], cols[_self_mirror(h)]
-
-
-def _full_magnitude(spec: Spectrum) -> np.ndarray:
-    """|S| over the full H x W plane in dft2d order, mirrored out of the half plane."""
-    h, w = spec.shape
-    mag = np.empty((h, w))
-    np.abs(spec.data, out=mag[:, : w // 2 + 1])
-    k = (w - 1) // 2
-    mag[0, w // 2 + 1 :] = mag[0, k:0:-1]
-    mag[1:, w // 2 + 1 :] = mag[:0:-1, k:0:-1]
-    return mag
 
 
 def dft2d(img: GrayImage) -> Spectrum:
@@ -117,23 +125,25 @@ def idft2d(spec: Spectrum) -> GrayImage:
     on views: their lower rows against the conjugates of their mirrors, and
     the self-mirror bins for a zero imaginary part. A gap above tolerance,
     relative to the largest bin magnitude, signals a symmetry-breaking bug
-    in upstream spectral edits.
+    in upstream spectral edits. The largest magnitude is found only for a gap
+    above the absolute floor, so exactly Hermitian spectra never pay for it.
     """
     h, w = spec.shape
     lower, upper, points = _self_mirror_columns(spec.data, w)
     gap = max(float(np.abs(lower - upper.conj()).max(initial=0.0)), float(np.abs(points.imag).max()))
-    largest = float(np.abs(spec.data).max())
-    if gap > _HERMITIAN_REL_TOL * largest and gap > _HERMITIAN_ABS_FLOOR * h * w:
-        raise ValueError(
-            f"spectrum bins differ from the conjugates of their mirrors by up to {gap:.3e} "
-            f"against max magnitude {largest:.3e}: spectrum lost Hermitian symmetry"
-        )
+    if gap > _HERMITIAN_ABS_FLOOR * h * w:
+        largest = float(np.abs(spec.data).max())
+        if gap > _HERMITIAN_REL_TOL * largest:
+            raise ValueError(
+                f"spectrum bins differ from the conjugates of their mirrors by up to {gap:.3e} "
+                f"against max magnitude {largest:.3e}: spectrum lost Hermitian symmetry"
+            )
     return _owned_image(np.fft.irfft2(spec.data, s=(h, w)))
 
 
 def center_shift(spec: Spectrum) -> np.ndarray:
     """Display view: |S| over the full plane with DC moved to (H//2, W//2)."""
-    return np.fft.fftshift(_full_magnitude(spec))
+    return np.fft.fftshift(spec.magnitude)
 
 
 def log_magnitude(spec: Spectrum) -> GrayImage:
