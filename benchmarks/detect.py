@@ -8,15 +8,16 @@ bin off the grid); and 256x256 spectra on which the tier-1 count bound of
 near-zero bin on every third row and column (no peaks), and a white spectrum
 at thresholds 3, 1.5 and 1.2 (hundreds to thousands of peaks, so greedy
 non-maximum suppression does real work). The flat and white spectra are
-drawn as half planes, as a real image's spectrum is stored; a tree that
-stores the full plane gets their conjugate-mirror expansion, so it sees the
-same magnitudes. Spectra are computed in dft2d order before timing, so no
+drawn as half planes, as a real image's spectrum is stored, and completed as
+Hermitian in their self-mirror columns, as a Spectrum must be, so a tree
+that checks that symmetry accepts them and every tree sees the same
+magnitudes. Spectra are computed in dft2d order before timing, so no
 transform is timed. Each call gets a fresh copy of its spectrum, made
 outside the timer, so a tree that keeps a spectrum's magnitude plane builds
 it inside every timed call, as a pipeline run does once per spectrum. Where
 the timed tree has the tier-1 bound, each set also reports the share of the
-bins tier 1 scans that it keeps for the exact count: the whole plane, or
-the column band of a tree that scans only that.
+bins tier 1 scans that it keeps for the exact count: the whole plane, a
+column band around the half plane, or the half plane, as the tree scans.
 
     python benchmarks/detect.py                        # time ./src, print only
     python benchmarks/detect.py --src OTHER/src --label parent --json BENCH_6.json
@@ -72,20 +73,17 @@ def offgrid_spectra(demoire, h: int, w: int, cases: int = 4):
 
 
 def half_plane_spectrum(demoire, half: np.ndarray, w: int):
-    """The Spectrum of width ``w`` whose half plane is ``half``.
-
-    A tree whose Spectrum stores the full plane (it has a ``centered`` field)
-    gets the conjugate-mirror expansion: column v > w//2 is the conjugate of
-    column w - v with its rows mirrored.
-    """
-    if "centered" not in demoire.Spectrum.__dataclass_fields__:
-        return demoire.Spectrum(half, w)
+    """The Spectrum of width ``w`` whose half plane is ``half``, completed as
+    Hermitian in place: in the self-mirror columns (0, and w/2 for even w)
+    each row below its mirror -u mod H takes the conjugate of the mirror's
+    bin, and each bin that is its own mirror keeps its real part."""
     h = half.shape[0]
-    full = np.empty((h, w), dtype=complex)
-    full[:, : w // 2 + 1] = half
-    for v in range(w // 2 + 1, w):
-        full[:, v] = np.conj(half[(-np.arange(h)) % h, w - v])
-    return demoire.Spectrum(full)
+    u = np.arange(h)
+    lower, point = u > -u % h, u == -u % h
+    for v in {0, w // 2} if w % 2 == 0 else {0}:
+        half[lower, v] = np.conj(half[-u[lower] % h, v])
+        half[point, v] = half[point, v].real
+    return demoire.Spectrum(half, w)
 
 
 def lattice_spectrum(demoire, h: int = 256, w: int = 256):

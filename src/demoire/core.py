@@ -65,8 +65,8 @@ class GrayImage:
         return self.pixels.shape
 
 
-def _frozen(arr: np.ndarray, kind: str) -> np.ndarray:
-    """Check that ``arr`` is a 2D array of finite values, at least 1x1, and mark it read-only.
+def _checked(arr: np.ndarray, kind: str) -> np.ndarray:
+    """Check that ``arr`` is a 2D array of finite values, at least 1x1, and return it.
 
     ``kind`` names the array in the error messages.
     """
@@ -76,7 +76,12 @@ def _frozen(arr: np.ndarray, kind: str) -> np.ndarray:
         raise ValueError(f"{kind} dimensions must be at least 1x1, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{kind} values must all be finite")
-    arr.setflags(write=False)
+    return arr
+
+
+def _frozen(arr: np.ndarray, kind: str) -> np.ndarray:
+    """``arr``, checked by :func:`_checked` and marked read-only."""
+    _checked(arr, kind).setflags(write=False)
     return arr
 
 

@@ -10,12 +10,11 @@ Spectra are the ``rfft2`` half plane in ``dft2d`` order (DC at (0, 0)).
 Detection and the donor windows read the magnitude of the full H x W plane,
 mirrored out of the half plane (``Spectrum.magnitude``, built once per
 spectrum), so every peak is found together with its mirror; the repairs
-write only the half plane. The magnitude is point-symmetric off the
-self-mirror columns, so the local-background test is computed only on the
-column band -10 .. W//2 + 10, the half plane widened by the annulus radius,
-and the other columns take the verdicts of their mirrors. Its tier-1 count
-bound runs each tile compare as one contiguous 1-D compare in a row-strided
-layout. Together these halve a 256x256 bench call (``benchmarks/detect.py``).
+write only the half plane. Every Spectrum is exactly Hermitian by
+construction, so the magnitude is point-symmetric: the local-background test
+is computed only on the half plane, and the other columns take the verdicts
+of their mirrors. Its tier-1 count bound runs each tile compare as one
+contiguous 1-D compare in a row-strided layout.
 All neighborhood geometry (detection annulus, repair disks, donor windows)
 wraps periodically, matching the periodicity of the discrete spectrum, so
 none of it depends on where DC sits. Peaks carry centered labels, DC at
@@ -33,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import GrayImage
 # perfbench/spans.py wraps center_shift in this module, so it stays importable here.
-from .transform import Spectrum, _owned_spectrum, center_shift, dft2d, idft2d  # noqa: F401
+from .transform import Spectrum, _fill_mirrors, _owned_spectrum, center_shift, dft2d, idft2d  # noqa: F401
 
 __all__ = [
     "Peak",
@@ -244,51 +243,35 @@ def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: floa
     float64 rounding can only let more bins through, never fewer.
 
     ``mag`` is a full plane in dft2d order that is point-symmetric, mag[-k]
-    == mag[k], off the self-mirror columns (0, and W/2 for even W), as
-    ``Spectrum.magnitude`` is. The annulus is point-symmetric too, so a bin
-    whose annulus misses those columns has the same count, median and
-    verdict as its mirror. Only the column band -r .. W//2 + r (r = 10,
-    wrapping; the whole plane when W <= 42) is computed: it holds the half
-    plane and every bin whose annulus reaches a self-mirror column. The
-    other columns are copied from their mirrors (row -u, column -v). The
-    band is computed for the candidates and their mirrors, and the result is
-    masked by ``candidates`` last, so any candidate mask gives the exact
-    answer.
+    == mag[k], as ``Spectrum.magnitude`` is. The annulus is point-symmetric
+    too, so every bin has the same count, median and verdict as its mirror.
+    Only the half plane, columns 0 .. W//2, is computed; the other columns
+    are copied from their mirrors (row -u, column -v). The half plane is
+    computed for the candidates and their mirrors, and the result is masked
+    by ``candidates`` last, so any candidate mask gives the exact answer.
 
     The count is tested in two tiers. Tier 1 bounds it from above for the
-    whole band with one compare per tile (``_count_bound``); bins whose
+    whole half plane with one compare per tile (``_count_bound``); bins whose
     bound is below 208 cannot exceed. Tier 2 gathers the 21x21 window of
     each surviving bin and counts its annulus exactly. The few bins that
     still pass get the exact float32 median and the float64 test
     ``mag > threshold * background``, so the result is the same as computing
-    the median at every bin.
-
-    The saving depends on tier 1 ruling out almost every bin, as it does on
-    the spectra of textured images (it keeps under 1.5%). Where small bins
-    are scattered so that most tiles hold one (a flat spectrum with a
-    near-zero bin every third row and column keeps 88%), each kept window
-    costs a gather. There a 256x256 call takes about 40 ms, and a white
-    spectrum at threshold 3 about 24 ms, against 20 and 24 ms for 416
-    whole-plane compares (``benchmarks/detect.py``, ``BENCH_12.json`` and
-    ``BENCH_5.json``).
+    the median at every bin. The saving depends on tier 1 ruling out almost
+    every bin, as it does on the spectra of textured images (it keeps under
+    1.5%); each bin it keeps costs a window gather.
     """
     h, w = mag.shape
     r = ANNULUS_SIZE // 2
     footprint = _annulus_footprint()
     half = footprint.sum() // 2
-    n = min(w, w // 2 + 2 * r + 1)
+    n = w // 2 + 1
 
-    def band(plane):
-        """A copy of the band's columns of ``plane``: band column j is plane column j - r."""
-        return np.concatenate((plane[:, w - r :], plane[:, : n - r]), axis=1)
-
-    # The band wrapped by r on every side: padded column j is plane column j - 2r.
-    padded = np.pad(mag.astype(np.float32), ((r, r), (2 * r, 0)), mode="wrap")[:, : n + 2 * r]
+    # The half plane wrapped by r on every side: padded (i, j) is plane (i - r, j - r).
+    padded = np.pad(mag.astype(np.float32), r, mode="wrap")[:, : n + 2 * r]
     mirrored = np.roll(candidates[::-1, ::-1], 1, axis=(0, 1))  # mirrored[k] = candidates[-k]
-    chosen = band(candidates | mirrored)
+    chosen = (candidates | mirrored)[:, :n]
 
-    raised = band(mag)
-    raised /= threshold
+    raised = mag[:, :n] / threshold
     raised *= 1.0 + 1e-6
     limit = raised.astype(np.float32)
     # One float32 step up, as np.nextafter(limit, inf) but without its
@@ -314,13 +297,10 @@ def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: floa
         count = below.reshape(u.size, -1).sum(axis=1, dtype=np.int16)
         count -= below[:, core, core].sum(axis=(1, 2), dtype=np.int16)
         counted = count >= half
-        u, v = u[counted], (v[counted] - r) % w
+        u, v = u[counted], v[counted]
         background = np.median(window[counted][:, footprint], axis=1).astype(np.float64)
         exceeds[u, v] = mag[u, v] > threshold * background
-    # Columns n - r .. w - r - 1 are the mirrors of columns w - n + r .. r + 1.
-    k = w - n
-    exceeds[0, n - r : w - r] = exceeds[0, r + k : r : -1]
-    exceeds[1:, n - r : w - r] = exceeds[:0:-1, r + k : r : -1]
+    _fill_mirrors(exceeds)
     return exceeds & candidates
 
 
@@ -330,9 +310,8 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
     The local background is the median magnitude of the annulus around each
     bin; it is computed exactly, but only for the bins that pass a two-tier
     rank-count prescreen: an upper bound from 3x3 tile minima, then the
-    exact count on the survivors. Both run on a column band around the half
-    plane; the other bins take their mirrors' verdicts (see
-    ``_exceeds_background``).
+    exact count on the survivors. Both run on the half plane; the other bins
+    take their mirrors' verdicts (see ``_exceeds_background``).
     Bins within the DC guard are ignored, non-maximum suppression keeps one
     bin per repair disk, and the result is symmetrized so every peak's
     Hermitian mirror is present. Detection runs on the full magnitude plane
@@ -424,9 +403,10 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     preserve, which is what lets the method beat zeroing. Only half-plane bins
     are re-estimated; a mirror outside it would get the conjugate estimate,
     as mask and donor windows are point-symmetric. In the self-mirror
-    columns, which hold both bins of a pair, pair-averaging with the
-    conjugate mirror pins Hermitian symmetry exactly. Bins outside all
-    repair disks are returned bit-identical.
+    columns, which hold both bins of a pair, the Spectrum construction sets
+    each lower row to the conjugate of its mirror; on a Hermitian input the
+    two estimates are already conjugates. Bins outside all repair disks are
+    returned bit-identical.
     """
     h, w = spec.shape
     if len(peaks) == 0:
@@ -436,11 +416,13 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     mag = spec.magnitude
     repaired = src.copy()
     # Centered row-major order: a donor shortage names the first bin by its label.
-    bins = np.argwhere(mask[:, : w // 2 + 1])
-    bins = bins[np.lexsort((_centered(bins[:, 1], w), _centered(bins[:, 0], h)))]
+    # Flat indices: np.argwhere walks a 2-D mask element by element.
+    rows, cols = np.divmod(np.flatnonzero(mask[:, : w // 2 + 1]), w // 2 + 1)
+    order = np.lexsort((_centered(cols, w), _centered(rows, h)))
+    rows, cols = rows[order], cols[order]
     chunk = max(1, _GATHER_LIMIT // (params.window * params.window))
-    for i0 in range(0, len(bins), chunk):
-        u, v = bins[i0 : i0 + chunk].T
+    for i0 in range(0, rows.size, chunk):
+        u, v = rows[i0 : i0 + chunk], cols[i0 : i0 + chunk]
         estimate = _donor_median(mag, mask, u, v, params.window)
         value = src[u, v]
         # The phase is normalized by hypot: numpy's vectorized complex abs
@@ -448,9 +430,6 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
         scale = np.hypot(value.real, value.imag)
         unit = np.divide(value, scale, out=np.ones_like(value), where=scale > 0.0)
         repaired[u, v] = estimate * unit
-    # Only the repaired bins change; both sides are read before either is written.
-    u, v = bins[(bins[:, 1] == 0) | (2 * bins[:, 1] == w)].T
-    repaired[u, v] = 0.5 * (repaired[u, v] + np.conj(repaired[-u % h, v]))
     return _owned_spectrum(repaired, w)
 
 

@@ -8,8 +8,9 @@ taken modulo the shape. A :class:`Spectrum` stores only the ``rfft2`` half
 plane, columns 0 .. W//2 in ``dft2d`` order (DC at (0, 0)); column -v of the
 full plane is the conjugate of column v with its rows mirrored, -u mod H.
 Only the self-mirror columns (v = 0, and v = W/2 for even W) hold mirror
-pairs within the half plane: ``dft2d`` makes them exactly Hermitian, and
-``idft2d`` tests them before it inverts the half plane with ``irfft2``.
+pairs within the half plane. Every Spectrum is exactly Hermitian there by
+construction (:func:`_hermitian`), so the transforms, detection and the
+repairs never test or restore that symmetry themselves.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GrayImage, _frozen, _owned_image
+from .core import GrayImage, _checked, _owned_image
 
 __all__ = ["Spectrum", "center_shift", "dft2d", "idft2d", "log_magnitude"]
 
-# Tolerance of the inverse's Hermitian test. The relative test catches
+# Tolerance of the Hermitian test at construction. The relative test catches
 # asymmetric spectral edits; the absolute floor, in pixel units (one bin's
 # gap g moves a pixel by up to g / (H*W)), keeps all-but-zero spectra from
 # tripping on rounding noise, where every bin is at machine scale.
@@ -35,20 +36,18 @@ _HERMITIAN_ABS_FLOOR = 1e-9
 class Spectrum:
     """Spectrum of a real H x W image: the H x (W//2+1) ``rfft2`` half plane and W.
 
-    ``shape`` is the image's (H, W), not the shape of ``data``.
+    ``shape`` is the image's (H, W), not the shape of ``data``. The data is
+    copied, checked and made exactly Hermitian on construction (see
+    :func:`_hermitian`); a half plane whose self-mirror columns are not
+    Hermitian to within rounding is rejected.
     """
 
     data: np.ndarray
     width: int
 
     def __post_init__(self):
-        self._own(np.array(self.data, dtype=np.complex128, copy=True))
-
-    def _own(self, data: np.ndarray) -> None:
-        object.__setattr__(self, "data", _frozen(data, "spectrum"))
-        cols = self.width // 2 + 1
-        if self.width < 1 or data.shape[1] != cols:
-            raise ValueError(f"a spectrum of width {self.width} holds {cols} columns, got {data.shape[1]}")
+        data = np.array(self.data, dtype=np.complex128, copy=True)
+        object.__setattr__(self, "data", _hermitian(data, self.width))
 
     @property
     def height(self) -> int:
@@ -63,16 +62,14 @@ class Spectrum:
         """|S| over the full H x W plane in dft2d order, mirrored out of the half plane.
 
         Built on first use and kept, read-only, so detection, the median repair
-        and the display view of one spectrum share one plane. Off the
-        self-mirror columns it is exactly point-symmetric: bin -k is a copy of
-        bin k.
+        and the display view of one spectrum share one plane. It is exactly
+        point-symmetric: bin -k is a copy of bin k, or equal to it in the
+        self-mirror columns, which hold conjugate pairs.
         """
         h, w = self.shape
         mag = np.empty((h, w))
         np.abs(self.data, out=mag[:, : w // 2 + 1])
-        k = (w - 1) // 2
-        mag[0, w // 2 + 1 :] = mag[0, k:0:-1]
-        mag[1:, w // 2 + 1 :] = mag[:0:-1, k:0:-1]
+        _fill_mirrors(mag)
         mag.flags.writeable = False
         return mag
 
@@ -81,8 +78,16 @@ def _owned_spectrum(data: np.ndarray, width: int) -> Spectrum:
     """A Spectrum over the fresh complex128 ``data``, not copied, as in :func:`core._owned_image`."""
     spec = object.__new__(Spectrum)
     object.__setattr__(spec, "width", width)
-    spec._own(data)
+    object.__setattr__(spec, "data", _hermitian(data, width))
     return spec
+
+
+def _fill_mirrors(plane: np.ndarray) -> None:
+    """Set columns W//2+1 .. W-1 of the H x W ``plane`` to their point mirrors, plane[-u, -v]."""
+    w = plane.shape[1]
+    k = (w - 1) // 2
+    plane[0, w // 2 + 1 :] = plane[0, k:0:-1]
+    plane[1:, w // 2 + 1 :] = plane[:0:-1, k:0:-1]
 
 
 def _self_mirror(n: int) -> slice:
@@ -90,55 +95,55 @@ def _self_mirror(n: int) -> slice:
     return slice(0, None, n // 2) if n % 2 == 0 else slice(0, 1)
 
 
-def _self_mirror_columns(data: np.ndarray, w: int):
-    """Views ``(lower, upper, points)`` of the self-mirror columns of a half plane
-    of width ``w``: their lower rows, elementwise the upper rows they mirror
-    (-u mod H), and their bins that are their own mirrors (real if Hermitian)."""
+def _hermitian(data: np.ndarray, w: int) -> np.ndarray:
+    """Check the half plane ``data`` of an image of width ``w``, make it exactly Hermitian in place, and freeze it.
+
+    The one owner of the Spectrum invariant, run by every construction. First
+    ``data`` is validated: 2D, at least 1x1, finite, W//2+1 columns. Then its
+    self-mirror columns are tested elementwise: their lower rows against the
+    conjugates of the upper rows they mirror (-u mod H), and their self-mirror
+    bins for a zero imaginary part. A gap above tolerance, relative to the
+    largest bin magnitude (found only for a gap above the absolute floor),
+    signals a symmetry-breaking edit that ``irfft2`` would silently invert to
+    another image. Within tolerance (``rfft2`` output is Hermitian there only
+    to rounding) the lower rows are set to the conjugates of the upper rows
+    and each self-mirror bin to its real part, so mirror bins have bit-equal
+    magnitudes.
+    """
+    _checked(data, "spectrum")
+    cols = w // 2 + 1
+    if w < 1 or data.shape[1] != cols:
+        raise ValueError(f"a spectrum of width {w} holds {cols} columns, got {data.shape[1]}")
     h = data.shape[0]
     k = (h - 1) // 2
-    cols = data[:, _self_mirror(w)]
-    return cols[h - k :], cols[k:0:-1], cols[_self_mirror(h)]
-
-
-def dft2d(img: GrayImage) -> Spectrum:
-    """Forward transform: S(u,v) = sum_xy f(x,y) exp(-2i*pi*(ux/H + vy/W)).
-
-    ``rfft2`` computes the half plane. In the self-mirror columns its values
-    are Hermitian only to rounding, so their lower rows are set to the
-    conjugates of their upper rows, and the imaginary part of each bin that
-    is its own mirror to zero. The spectrum is then exactly Hermitian, and
-    mirror bins have bit-equal magnitudes.
-    """
-    data = np.fft.rfft2(img.pixels)
-    lower, upper, points = _self_mirror_columns(data, img.width)
-    np.conjugate(upper, out=lower)
-    points.imag = 0.0
-    return _owned_spectrum(data, img.width)
-
-
-def idft2d(spec: Spectrum) -> GrayImage:
-    """Normalized inverse transform of a Hermitian half-plane spectrum.
-
-    ``irfft2`` takes only the Hermitian part of the self-mirror columns, so a
-    spectrum whose edits broke their symmetry would be inverted silently to
-    some other image. Those columns are therefore tested first, elementwise
-    on views: their lower rows against the conjugates of their mirrors, and
-    the self-mirror bins for a zero imaginary part. A gap above tolerance,
-    relative to the largest bin magnitude, signals a symmetry-breaking bug
-    in upstream spectral edits. The largest magnitude is found only for a gap
-    above the absolute floor, so exactly Hermitian spectra never pay for it.
-    """
-    h, w = spec.shape
-    lower, upper, points = _self_mirror_columns(spec.data, w)
+    mirror_cols = data[:, _self_mirror(w)]
+    lower, upper, points = mirror_cols[h - k :], mirror_cols[k:0:-1], mirror_cols[_self_mirror(h)]
     gap = max(float(np.abs(lower - upper.conj()).max(initial=0.0)), float(np.abs(points.imag).max()))
     if gap > _HERMITIAN_ABS_FLOOR * h * w:
-        largest = float(np.abs(spec.data).max())
+        largest = float(np.abs(data).max())
         if gap > _HERMITIAN_REL_TOL * largest:
             raise ValueError(
                 f"spectrum bins differ from the conjugates of their mirrors by up to {gap:.3e} "
                 f"against max magnitude {largest:.3e}: spectrum lost Hermitian symmetry"
             )
-    return _owned_image(np.fft.irfft2(spec.data, s=(h, w)))
+    np.conjugate(upper, out=lower)
+    points.imag = 0.0
+    data.setflags(write=False)
+    return data
+
+
+def dft2d(img: GrayImage) -> Spectrum:
+    """Forward transform: S(u,v) = sum_xy f(x,y) exp(-2i*pi*(ux/H + vy/W)).
+
+    ``rfft2`` computes the half plane; the Spectrum construction makes its
+    self-mirror columns exactly Hermitian.
+    """
+    return _owned_spectrum(np.fft.rfft2(img.pixels), img.width)
+
+
+def idft2d(spec: Spectrum) -> GrayImage:
+    """Normalized inverse transform: ``irfft2`` of the half plane, exactly Hermitian by construction."""
+    return _owned_image(np.fft.irfft2(spec.data, s=spec.shape))
 
 
 def center_shift(spec: Spectrum) -> np.ndarray:

@@ -10,7 +10,8 @@ many surviving bins and chunked gathers decide. They also require the tier-1
 bound never to fall below a brute-force count.
 
 Spectra are half planes, so the synthetic white planes are drawn as half
-planes too; detection sees the full plane of their mirrored magnitudes.
+planes too, completed as Hermitian in their self-mirror columns; detection
+sees the full plane of their mirrored magnitudes.
 """
 
 import numpy as np
@@ -33,7 +34,7 @@ from demoire import spectral
 from demoire.noise import default_noise_corpus
 from demoire.synth import default_bench_images, make_filtered_field
 
-from test_transform import centered_spectrum, full_plane
+from test_transform import centered_spectrum, full_plane, hermitian
 
 
 def reference_background(mag):
@@ -217,7 +218,7 @@ def test_survivor_heavy_white_spectrum_identical(shape, threshold, surviving, mo
     h, w = shape
     rng = np.random.default_rng(h + w)
     half = (h, w // 2 + 1)
-    spec = Spectrum(rng.standard_normal(half) + 1j * rng.standard_normal(half), w)
+    spec = Spectrum(hermitian(rng.standard_normal(half) + 1j * rng.standard_normal(half), w), w)
     mag = np.abs(full_plane(spec))
     bound = spectral._count_bound(
         np.pad(mag.astype(np.float32), spectral.ANNULUS_SIZE // 2, mode="wrap"),

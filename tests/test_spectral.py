@@ -21,7 +21,7 @@ from demoire import (
 )
 from demoire.synth import make_filtered_field
 
-from test_transform import centered_spectrum, full_plane
+from test_transform import centered_spectrum, full_plane, hermitian
 
 
 def centered_full_plane(spec):
@@ -282,7 +282,7 @@ class TestSpectralMedianReference:
         # counts take the midpoint of the two middle values.
         data = np.zeros((32, 17), dtype=complex)
         data[::3, ::2] = np.arange(1, 100).reshape(11, 9) * (1 + 1j)
-        spec = Spectrum(data, 32)
+        spec = Spectrum(hermitian(data, 32), 32)
         peaks = paired_peaks(32, 32, [(5, 2), (7, 9)])
         params = RepairParams(window=5, repair_radius=1)
         got = centered_full_plane(spectral_median(spec, peaks, params))
@@ -290,15 +290,10 @@ class TestSpectralMedianReference:
 
     @pytest.mark.parametrize("w", [32, 33])
     def test_matches_per_bin_loop_in_self_mirror_columns(self, w):
-        # Turning the lower rows of the self-mirror columns (v = 0, and v = W/2
-        # for even W) by 90 degrees keeps every magnitude but breaks their
-        # Hermitian symmetry, so the bins repaired in them must be averaged
-        # with their conjugate mirrors, as the loop does.
-        data = dft2d(make_filtered_field(32, w, sigma=1.2, seed=w)).data.copy()
-        cols = [0, w // 2] if w % 2 == 0 else [0]
-        data[17:, cols] *= 1j
-        spec = Spectrum(data, w)
-        assert np.array_equal(np.abs(data), np.abs(dft2d(make_filtered_field(32, w, sigma=1.2, seed=w)).data))
+        # The self-mirror columns (v = 0, and v = W/2 for even W) hold both
+        # bins of a pair; the repaired pair must stay conjugate, as the
+        # loop's pair-average makes it.
+        spec = dft2d(make_filtered_field(32, w, sigma=1.2, seed=w))
         # Peaks in centered column W//2 (v = 0), column 0 (v = W/2 for even W) and off them.
         peaks = paired_peaks(32, w, [(4, 0), (3, -(w // 2)), (6, 5)])
         params = RepairParams(window=5, repair_radius=2)

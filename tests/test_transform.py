@@ -60,6 +60,21 @@ def full_plane(spec):
     return full
 
 
+def hermitian(half, w):
+    """A copy of the half plane ``half`` of width ``w`` with its self-mirror
+    columns (0, and w/2 for even w) completed as Hermitian: each row u below
+    its mirror -u mod H gets the conjugate of the mirror's bin, and each bin
+    that is its own mirror keeps its real part."""
+    h = half.shape[0]
+    out = np.array(half, dtype=complex)
+    u = np.arange(h)
+    lower, point = u > -u % h, u == -u % h
+    for v in {0, w // 2} if w % 2 == 0 else {0}:
+        out[lower, v] = np.conj(out[-u[lower] % h, v])
+        out[point, v] = out[point, v].real
+    return out
+
+
 def centered_spectrum(data):
     """The Spectrum whose full plane, with DC moved to (H//2, W//2), is ``data``.
 
@@ -283,6 +298,67 @@ class TestHermitianGuard:
         assert np.max(np.abs(back.pixels - img.pixels)) <= 1e-9 * scale
 
 
+def fft2_half(h, w, seed=0):
+    """The left half of fft2, Hermitian in its self-mirror columns only to rounding."""
+    return np.fft.fft2(random_image(h, w, seed).pixels)[:, : w // 2 + 1]
+
+
+class TestHermitianContract:
+    """Every construction checks the self-mirror columns, then makes them exactly Hermitian."""
+
+    CONSTRUCTORS = pytest.mark.parametrize("constructor", [Spectrum, _owned_spectrum], ids=["public", "owned"])
+    SHAPES = [(1, 1), (2, 2), (7, 1), (6, 9), (9, 6), (16, 16), (17, 46), (257, 16)]
+
+    @CONSTRUCTORS
+    @pytest.mark.parametrize("edit", [edit_column_0_lower_row, edit_column_0_imag, edit_column_half, edit_dc_imag])
+    def test_rejects_broken_symmetry(self, constructor, edit):
+        data = fft2_half(9, 6)
+        edit(data)
+        message = (
+            r"^spectrum bins differ from the conjugates of their mirrors by up to \S+ "
+            r"against max magnitude \S+: spectrum lost Hermitian symmetry$"
+        )
+        with pytest.raises(ValueError, match=message):
+            constructor(data, 6)
+
+    @CONSTRUCTORS
+    @pytest.mark.parametrize("h,w", SHAPES)
+    def test_completes_within_tolerance(self, constructor, h, w):
+        # The upper rows are kept, the lower rows of the self-mirror columns
+        # become their mirrors' conjugates and the self-mirror bins real.
+        half = fft2_half(h, w)
+        spec = constructor(half.copy(), w)
+        assert np.array_equal(spec.data, hermitian(half, w))
+        full = full_plane(spec)
+        assert np.array_equal(full, np.conj(mirror(full)))
+
+    def test_fft2_is_not_exactly_hermitian(self):
+        # So that the completion above does real work.
+        assert any(not np.array_equal(fft2_half(h, w), hermitian(fft2_half(h, w), w)) for h, w in self.SHAPES)
+
+    def test_public_constructor_leaves_input_untouched(self):
+        half = fft2_half(16, 16)
+        before = half.copy()
+        spec = Spectrum(half, 16)
+        assert np.array_equal(half, before) and half.flags.writeable
+        assert not np.array_equal(spec.data, half)
+
+    @CONSTRUCTORS
+    @pytest.mark.parametrize("at", [(3, 0), (2, 0), (2, 2), (0, 0)], ids=["lower-row", "point", "point-W/2", "dc"])
+    def test_nan_in_self_mirror_column_is_not_finite(self, constructor, at):
+        # The completion would overwrite a lower row and the imaginary part of
+        # a self-mirror bin, so the finiteness check must come first.
+        data = fft2_half(4, 4)
+        data[at] = complex(1.0, np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            constructor(data, 4)
+
+    @pytest.mark.parametrize("h,w", SHAPES)
+    def test_magnitude_is_point_symmetric(self, h, w):
+        mag = Spectrum(fft2_half(h, w, seed=1), w).magnitude
+        assert np.array_equal(mag, mirror(mag))
+
+
 class TestSpectrumOwnership:
     def test_public_constructor_copies(self):
         data = np.ones((3, 4), dtype=complex)
@@ -384,7 +460,7 @@ class TestCenterShift:
 
     def test_odd_dims_roll_back(self):
         rng = np.random.default_rng(32)
-        spec = Spectrum(rng.random((5, 3)) + 1j * rng.random((5, 3)), 5)
+        spec = Spectrum(hermitian(rng.random((5, 3)) + 1j * rng.random((5, 3)), 5), 5)
         mag = np.abs(full_plane(spec))
         shifted = center_shift(spec)
         # Index-permutation oracle: position (i, j) moves to ((i+2)%5, (j+2)%5).
