@@ -45,7 +45,7 @@ from .spectral import (
     repair,
     spectral_median,
 )
-from .transform import Spectrum, center_shift, dft2d, idft2d, log_magnitude
+from .transform import Spectrum, center_shift, dft2d, idft2d, log_magnitude, spectral_mse
 
 __version__ = "0.1.0"
 
@@ -90,6 +90,7 @@ __all__ = [
     "read_pgm",
     "repair",
     "spectral_median",
+    "spectral_mse",
     "synthesize_moire",
     "total_variation",
     "tv_denoise",

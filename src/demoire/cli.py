@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import GrayImage, psnr, read_pgm, write_pgm
+from .core import GrayImage, QualityReport, psnr, read_pgm, write_pgm
 from .noise import (
     add_gaussian,
     add_salt_pepper,
@@ -36,7 +36,8 @@ from .spectral import RepairParams, analyze, format_peaks_csv, repair
 
 # perfbench/spans.py wraps these names in this module, so they stay importable here.
 from .spectral import denoise_moire, detect_peaks, notch_reject, spectral_median  # noqa: F401
-from .transform import center_shift, dft2d, idft2d, log_magnitude  # noqa: F401
+from .transform import center_shift  # noqa: F401
+from .transform import dft2d, idft2d, log_magnitude, spectral_mse
 
 
 def _flags(*same: str, **renamed: str) -> dict[str, str]:
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timing",
         action="store_true",
         help="fill runtime_ms with wall-clock ms per row (spectral: the shared transform and detection "
-        "plus that method's repair); off by default so reruns are byte-identical",
+        "plus that method's repair and scoring); off by default so reruns are byte-identical",
     )
     p_bench.set_defaults(func=cmd_bench, parser=p_bench)
     return parser
@@ -182,7 +183,7 @@ def cmd_denoise(args) -> int:
     if method.spectral:
         params = _params(method, args)
         spec, peaks = analyze(img, params)
-        denoised = repair(spec, peaks, method.func, params)
+        denoised = idft2d(repair(spec, peaks, method.func, params))
         if args.dump_peaks:
             Path(args.dump_peaks).write_text(format_peaks_csv(peaks))
     else:
@@ -224,15 +225,17 @@ def cmd_bench(args) -> int:
         print(f"error: no PGM images found in {image_dir}", file=sys.stderr)
         return 1
 
+    spectral = any(METHODS[m].spectral for m in names)
     rows = []
     for path in files:
         clean = read_pgm(path.read_bytes())
+        clean_spec = dft2d(clean) if spectral else None
         params = RepairParams()
         for noise_id, mspec in default_noise_corpus(clean.height, clean.width):
             noisy = synthesize_moire(clean, mspec)
             base = psnr(clean, noisy)
             started = time.perf_counter()
-            if any(METHODS[m].spectral for m in names):
+            if spectral:
                 spec, peaks = analyze(noisy, params)
             analysis_s = time.perf_counter() - started
             for name in names:
@@ -240,11 +243,13 @@ def cmd_bench(args) -> int:
                 # A spectral row's clock includes the analysis its method shares.
                 started = time.perf_counter() - (analysis_s if method.spectral else 0.0)
                 if method.spectral:
-                    denoised = repair(spec, peaks, method.func, params)
+                    # Scored by Parseval from the repaired spectrum: bench writes no image to invert.
+                    err = spectral_mse(clean_spec, repair(spec, peaks, method.func, params))
                 else:
                     denoised = _filter(noisy, method, _params(method))
                 runtime_ms = (time.perf_counter() - started) * 1000.0 if args.timing else 0.0
-                rows.append((path.stem, noise_id, name, base, psnr(clean, denoised), runtime_ms))
+                report = QualityReport.from_mse(err) if method.spectral else psnr(clean, denoised)
+                rows.append((path.stem, noise_id, name, base, report, runtime_ms))
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = ["image,noise,method,psnr_noisy,psnr_denoised,runtime_ms"]

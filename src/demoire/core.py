@@ -107,6 +107,13 @@ class QualityReport:
     mse: float
     psnr_db: float | None
 
+    @classmethod
+    def from_mse(cls, err: float) -> QualityReport:
+        """The report of an MSE against the 8-bit peak of 255; zero error reads as inf."""
+        if err == 0.0:
+            return cls(mse=0.0, psnr_db=None)
+        return cls(mse=err, psnr_db=10.0 * math.log10(PEAK_VALUE * PEAK_VALUE / err))
+
     def psnr_label(self) -> str:
         return "inf" if self.psnr_db is None else f"{self.psnr_db:.2f}"
 
@@ -126,10 +133,7 @@ def mse(a: GrayImage, b: GrayImage) -> float:
 
 def psnr(a: GrayImage, b: GrayImage) -> QualityReport:
     """Peak signal-to-noise ratio with an 8-bit peak of 255."""
-    err = mse(a, b)
-    if err == 0.0:
-        return QualityReport(mse=0.0, psnr_db=None)
-    return QualityReport(mse=err, psnr_db=10.0 * math.log10(PEAK_VALUE * PEAK_VALUE / err))
+    return QualityReport.from_mse(mse(a, b))
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:

@@ -304,6 +304,16 @@ def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: floa
     return exceeds & candidates
 
 
+def _outside_guard(h: int, w: int, guard: int) -> np.ndarray:
+    """Bins farther than ``guard`` from DC, fu^2 + fv^2 > guard^2, in dft2d order. Computed
+    as fv^2 > g^2 - fu^2, a row against a column, so no H x W integer plane is built; no
+    bin is h + w from DC, so clipping g there only keeps its square in range."""
+    fu = _centered(np.arange(h), h) - h // 2  # signed frequencies
+    fv = _centered(np.arange(w), w) - w // 2
+    g = min(guard, h + w)
+    return (fv * fv)[np.newaxis, :] > (g * g - fu * fu)[:, np.newaxis]
+
+
 def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
     """Find impulse bins: magnitude above threshold x local background.
 
@@ -324,11 +334,7 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
             f"annulus; images must be at least {MIN_DETECT_DIM}x{MIN_DETECT_DIM}"
         )
     mag = spec.magnitude
-    guard = params.resolved_guard(h, w)
-    fu = (_centered(np.arange(h), h) - h // 2)[:, np.newaxis]  # signed frequencies
-    fv = (_centered(np.arange(w), w) - w // 2)[np.newaxis, :]
-    outside_guard = fu * fu + fv * fv > guard * guard
-    eligible = outside_guard & (mag > MAG_FLOOR_REL * float(mag.max()))
+    eligible = _outside_guard(h, w, params.resolved_guard(h, w)) & (mag > MAG_FLOOR_REL * float(mag.max()))
     # Flat indices: np.nonzero walks a 2-D mask element by element.
     u, v = np.divmod(np.flatnonzero(_exceeds_background(mag, eligible, params.detect_threshold)), w)
     if u.size == 0:
@@ -363,13 +369,14 @@ def notch_reject(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spectr
 
 
 def _donor_median(
-    mag: np.ndarray, mask: np.ndarray, u: np.ndarray, v: np.ndarray, window: int
+    mag: np.ndarray, mask: np.ndarray, u: np.ndarray, v: np.ndarray, window: int, estimated: np.ndarray
 ) -> np.ndarray:
-    """Median of the uncontaminated magnitudes in each bin's window x window.
+    """Median of the uncontaminated magnitudes in each ``estimated`` bin's window x window.
 
-    Contaminated donors sort last as +inf, so each row's median is read at
-    its own donor count: the middle value, or fl(a + b) / 2 of the two middle
-    values, exactly as ``np.median`` computes it.
+    Donors are counted for every bin, so a shortage names the first bin even
+    if it is not estimated. Contaminated donors sort last as +inf, so each
+    row's median is read at its own donor count: the middle value, or
+    fl(a + b) / 2 of the two middle values, exactly as ``np.median`` does.
     """
     h, w = mag.shape
     offsets = np.arange(-(window // 2), window // 2 + 1)
@@ -384,9 +391,10 @@ def _donor_median(
             f"only {counts[k]} uncontaminated donor bins around spectrum bin "
             f"({_centered(u[k], h)}, {_centered(v[k], w)}); increase window above {window}"
         )
-    donors = np.where(poisoned, np.inf, mag[rows, cols].reshape(len(u), -1))
+    rows, cols, poisoned, counts = rows[estimated], cols[estimated], poisoned[estimated], counts[estimated]
+    donors = np.where(poisoned, np.inf, mag[rows, cols].reshape(len(counts), -1))
     donors.sort(axis=1)
-    at = np.arange(len(u))
+    at = np.arange(len(counts))
     upper = donors[at, counts // 2]
     lower = donors[at, (counts - 1) // 2]
     return np.where(counts % 2 == 1, upper, (lower + upper) / 2)
@@ -402,10 +410,10 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     the impulse carrier it belongs to the image content this repair exists to
     preserve, which is what lets the method beat zeroing. Only half-plane bins
     are re-estimated; a mirror outside it would get the conjugate estimate,
-    as mask and donor windows are point-symmetric. In the self-mirror
-    columns, which hold both bins of a pair, the Spectrum construction sets
-    each lower row to the conjugate of its mirror; on a Hermitian input the
-    two estimates are already conjugates. Bins outside all repair disks are
+    as mask and donor windows are point-symmetric. The self-mirror columns
+    hold both bins of a pair, and there only the upper rows are estimated:
+    each lower row is set to the conjugate of its mirror's estimate, as the
+    Spectrum construction would set it. Bins outside all repair disks are
     returned bit-identical.
     """
     h, w = spec.shape
@@ -420,16 +428,20 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     rows, cols = np.divmod(np.flatnonzero(mask[:, : w // 2 + 1]), w // 2 + 1)
     order = np.lexsort((_centered(cols, w), _centered(rows, h)))
     rows, cols = rows[order], cols[order]
+    lower = (rows > h // 2) & ((cols == 0) | (2 * cols == w))  # lower rows of the self-mirror columns
     chunk = max(1, _GATHER_LIMIT // (params.window * params.window))
     for i0 in range(0, rows.size, chunk):
-        u, v = rows[i0 : i0 + chunk], cols[i0 : i0 + chunk]
-        estimate = _donor_median(mag, mask, u, v, params.window)
+        u, v, estimated = rows[i0 : i0 + chunk], cols[i0 : i0 + chunk], ~lower[i0 : i0 + chunk]
+        estimate = _donor_median(mag, mask, u, v, params.window, estimated)
+        u, v = u[estimated], v[estimated]
         value = src[u, v]
         # The phase is normalized by hypot: numpy's vectorized complex abs
         # (used for the donor magnitudes) can differ from it in the last bit.
         scale = np.hypot(value.real, value.imag)
         unit = np.divide(value, scale, out=np.ones_like(value), where=scale > 0.0)
         repaired[u, v] = estimate * unit
+    u, v = rows[lower], cols[lower]
+    repaired[u, v] = repaired[-u % h, v].conj()
     return _owned_spectrum(repaired, w)
 
 
@@ -439,22 +451,23 @@ def analyze(img: GrayImage, params: RepairParams) -> tuple[Spectrum, PeakSet]:
     return spec, detect_peaks(spec, params)
 
 
-def repair(spec: Spectrum, peaks: PeakSet, method: str, params: RepairParams) -> GrayImage:
-    """Repair the detected bins ("notch" or "median") and invert to an image."""
+def repair(spec: Spectrum, peaks: PeakSet, method: str, params: RepairParams) -> Spectrum:
+    """The spectrum with the detected bins repaired by "notch" or "median": ``idft2d``
+    makes it the denoised image, and ``spectral_mse`` scores it without inverting it."""
     if method not in ("notch", "median"):
         raise ValueError(f"unknown repair method {method!r}: expected 'notch' or 'median'")
     step = notch_reject if method == "notch" else spectral_median
-    return idft2d(step(spec, peaks, params))
+    return step(spec, peaks, params)
 
 
 def denoise_moire(
     img: GrayImage, method: str, params: RepairParams | None = None
 ) -> tuple[GrayImage, PeakSet]:
-    """Full pipeline: ``analyze``, then ``repair`` with "notch" or "median"."""
+    """Full pipeline: ``analyze``, ``repair`` with "notch" or "median", then ``idft2d``."""
     if params is None:
         params = RepairParams()
     spec, peaks = analyze(img, params)
-    return repair(spec, peaks, method, params), peaks
+    return idft2d(repair(spec, peaks, method, params)), peaks
 
 
 def format_peaks_csv(peaks: PeakSet) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import GrayImage, _checked, _owned_image
 
-__all__ = ["Spectrum", "center_shift", "dft2d", "idft2d", "log_magnitude"]
+__all__ = ["Spectrum", "center_shift", "dft2d", "idft2d", "log_magnitude", "spectral_mse"]
 
 # Tolerance of the Hermitian test at construction. The relative test catches
 # asymmetric spectral edits; the absolute floor, in pixel units (one bin's
@@ -144,6 +144,21 @@ def dft2d(img: GrayImage) -> Spectrum:
 def idft2d(spec: Spectrum) -> GrayImage:
     """Normalized inverse transform: ``irfft2`` of the half plane, exactly Hermitian by construction."""
     return _owned_image(np.fft.irfft2(spec.data, s=spec.shape))
+
+
+def spectral_mse(a: Spectrum, b: Spectrum) -> float:
+    """``core.mse`` of the two spectra's images, to rounding, without inverting either.
+
+    Parseval: sum |A - B|^2 over the full plane is (H*W)^2 times the MSE. A half-plane
+    column stands for itself and its mirror, so it counts twice; the self-mirror
+    columns, 0 and W/2 for even W, once."""
+    if a.shape != b.shape:
+        raise ValueError(f"spectrum dimensions differ: {a.shape} vs {b.shape}")
+    h, w = a.shape
+    power = (a.data - b.data).view(np.float64)  # real and imaginary parts interleaved
+    np.multiply(power, power, out=power)
+    once = power.reshape(h, -1, 2)[:, _self_mirror(w)]
+    return float(2.0 * power.sum() - once.sum()) / (h * w) ** 2
 
 
 def center_shift(spec: Spectrum) -> np.ndarray:

@@ -1,3 +1,8 @@
+import importlib.util
+import shutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,15 +19,19 @@ from demoire import (
     NlmParams,
     RepairParams,
     TvParams,
+    analyze,
     anisotropic_diffusion,
     bilateral_filter,
     center_shift,
     denoise_moire,
     dft2d,
+    idft2d,
     median_filter,
     mode_filter,
     nlm_denoise,
+    psnr,
     read_pgm,
+    repair,
     synthesize_moire,
     tv_denoise,
     write_pgm,
@@ -453,11 +462,13 @@ def test_spectral_bytes_match_full_plane_transforms(tmp_path, transform_pin_inpu
     bench, inputs = transform_pin_inputs
     pgms, peaks, csv = spectral_outputs(tmp_path / "half-plane", bench, inputs)
     calls = []
-    monkeypatch.setattr(demoire.spectral, "dft2d", lambda img: calls.append(1) or fft2_dft2d(img))
-    monkeypatch.setattr(demoire.spectral, "idft2d", lambda spec: calls.append(2) or ifft2_idft2d(spec))
+    for module in (demoire.cli, demoire.spectral):
+        monkeypatch.setattr(module, "dft2d", lambda img: calls.append(1) or fft2_dft2d(img))
+        monkeypatch.setattr(module, "idft2d", lambda spec: calls.append(2) or ifft2_idft2d(spec))
     want_pgms, want_peaks, want_csv = spectral_outputs(tmp_path / "full-plane", bench, inputs)
-    # One transform pair per denoise; one forward and two inverses per bench case.
-    assert (calls.count(1), calls.count(2)) == (2 * len(inputs) + 4 * 6, 2 * len(inputs) + 2 * 4 * 6)
+    # One transform pair per denoise. Bench inverts nothing: one forward per
+    # case, and one of each clean image to score the repaired spectra against.
+    assert (calls.count(1), calls.count(2)) == (2 * len(inputs) + 4 * 6 + 4, 2 * len(inputs))
     assert csv == want_csv
     assert pgms == want_pgms
     for name, got in peaks.items():
@@ -468,6 +479,62 @@ def test_spectral_bytes_match_full_plane_transforms(tmp_path, transform_pin_inpu
         h, w = read_pgm(next(s for s in inputs if name.startswith(s.stem)).read_bytes()).shape
         mags = {(u, v): m for u, v, m in got}
         assert all(mags[(2 * (h // 2) - u) % h, (2 * (w // 2) - v) % w] == m for (u, v), m in mags.items())
+
+
+def spatial_bench_csv(image_dir):
+    """The default `bench` CSV with every spectral row scored through the image:
+    PSNR of the clean image against the inverse of the repaired spectrum."""
+    rows = []
+    for path in sorted(image_dir.glob("*.pgm")):
+        clean = read_pgm(path.read_bytes())
+        for noise_id, mspec in default_noise_corpus(clean.height, clean.width):
+            noisy = synthesize_moire(clean, mspec)
+            spec, peaks = analyze(noisy, RepairParams())
+            for name, method in (("notch", "notch"), ("spectral-median", "median")):
+                denoised = idft2d(repair(spec, peaks, method, RepairParams()))
+                rows.append((path.stem, noise_id, name, psnr(clean, noisy), psnr(clean, denoised)))
+    rows.sort(key=lambda r: r[:3])
+    lines = ["image,noise,method,psnr_noisy,psnr_denoised,runtime_ms"]
+    lines += [f"{i},{n},{m},{a.psnr_label()},{b.psnr_label()},0.000" for i, n, m, a, b in rows]
+    for name in ("notch", "spectral-median"):
+        means = [[r[k].psnr_db for r in rows if r[2] == name] for k in (3, 4)]
+        labels = ["inf" if None in m else f"{sum(m) / len(m):.2f}" for m in means]
+        lines.append(f"mean,all,{name},{labels[0]},{labels[1]},0.000")
+    return "\n".join(lines) + "\n"
+
+
+def test_bench_spectrum_scores_match_image_psnr(tmp_path, transform_pin_inputs):
+    # The four bench images and one off-grid field per off-grid workload shape.
+    bench, inputs = transform_pin_inputs
+    images = tmp_path / "images"
+    shutil.copytree(bench, images)
+    for src in inputs:
+        if src.stem.startswith("offgrid-"):
+            shutil.copy(src, images)
+    assert len(list(images.glob("*.pgm"))) == 7
+    assert main(["bench", "--images", str(images), "--out", str(tmp_path / "bench.csv")]) == 0
+    assert (tmp_path / "bench.csv").read_text() == spatial_bench_csv(images)
+
+
+def test_tracer_records_inverse_of_spectral_denoise(tmp_path, monkeypatch, constant_image):
+    # `denoise` inverts the repaired spectrum through the name the benchmark
+    # tracer wraps in demoire.cli; the one in demoire.spectral must not run.
+    spans_py = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_py)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses resolve the module by name
+    spec.loader.exec_module(spans)
+    monkeypatch.setattr(demoire.spectral, "idft2d", lambda s: pytest.fail("spectral.idft2d called"))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        argv = ["denoise", "--in", str(constant_image), "--out", str(tmp_path / "out.pgm"), "--method", "notch"]
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    names = [span.name for span in tracer.spans]
+    assert names.count("transform.idft2d") == 1
+    assert names.index("spectral.notch_reject") < names.index("transform.idft2d")
 
 
 class TestPsnr:

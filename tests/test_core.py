@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from demoire import GrayImage, PgmError, mse, psnr, read_pgm, write_pgm
+from demoire import GrayImage, PgmError, QualityReport, mse, psnr, read_pgm, write_pgm
 
 
 def scalar_mse(a, b):
@@ -90,6 +90,13 @@ class TestMetrics:
         assert report.psnr_db == pytest.approx(20.0 * math.log10(255.0), abs=1e-12)
         assert report.psnr_db == pytest.approx(48.1308, abs=1e-4)
         assert report.psnr_label() == "48.13"
+
+    def test_report_from_mse_is_psnr_of_images(self):
+        rng = np.random.default_rng(8)
+        a, b = GrayImage(rng.uniform(0.0, 255.0, (5, 7))), GrayImage(rng.uniform(0.0, 255.0, (5, 7)))
+        assert QualityReport.from_mse(mse(a, b)) == psnr(a, b)
+        assert QualityReport.from_mse(0.0) == QualityReport(mse=0.0, psnr_db=None)
+        assert QualityReport.from_mse(1e-26).psnr_label() == "308.13"
 
     def test_psnr_decreases_as_mse_increases(self):
         base = GrayImage(np.zeros((8, 8)))

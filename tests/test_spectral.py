@@ -9,6 +9,7 @@ from demoire import (
     PeakSet,
     RepairParams,
     Spectrum,
+    analyze,
     denoise_moire,
     detect_peaks,
     dft2d,
@@ -16,9 +17,11 @@ from demoire import (
     idft2d,
     notch_reject,
     psnr,
+    repair,
     spectral_median,
     synthesize_moire,
 )
+from demoire import spectral
 from demoire.synth import make_filtered_field
 
 from test_transform import centered_spectrum, full_plane, hermitian
@@ -106,6 +109,20 @@ class TestDetectPeaks:
         # Default guard radius is 8; the pair at distance 2 must be ignored.
         peaks = detect_peaks(dft2d(noisy), RepairParams())
         assert len(peaks) == 0
+
+    @pytest.mark.parametrize("h, w", [(16, 16), (17, 16), (16, 17), (33, 29)])
+    def test_guard_mask_is_the_disk_around_dc(self, h, w):
+        fu = np.fft.fftfreq(h, 1.0 / h).round().astype(np.int64)[:, np.newaxis]  # signed frequencies
+        fv = np.fft.fftfreq(w, 1.0 / w).round().astype(np.int64)[np.newaxis, :]
+        for guard in [0, 1, 5, 8, h // 2, w // 2 + 1, h + w - 1, h + w, h + w + 1, 10**4]:
+            want = fu * fu + fv * fv > guard * guard
+            assert np.array_equal(spectral._outside_guard(h, w, guard), want), guard
+
+    def test_huge_guard_finds_nothing(self):
+        img = make_filtered_field(64, 64, sigma=1.2, seed=5)
+        spec = dft2d(synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 0.0, 0.0),))))
+        assert len(detect_peaks(spec, RepairParams())) > 0
+        assert detect_peaks(spec, RepairParams(guard_dc_radius=10**30)) == PeakSet(())
 
     def test_rejects_tiny_spectrum(self):
         spec = dft2d(GrayImage(np.zeros((8, 8))))
@@ -308,6 +325,16 @@ class TestSpectralMedianReference:
         with pytest.raises(ValueError, match=expected):
             spectral_median(spec, paired_peaks(32, 32, dense), RepairParams())
 
+    def test_starvation_names_unestimated_lower_row(self):
+        # Centered (9, 0) of a 33x32 plane is dft2d bin (26, 16): a lower row
+        # of the self-mirror column v = W/2, which is set from its mirror and
+        # not estimated. Its donors still count, so it is named first.
+        spec = dft2d(GrayImage(np.full((33, 32), 50.0)))
+        peaks = paired_peaks(33, 32, [(du, 16) for du in range(2, 9)])
+        expected = r"^only 2 uncontaminated donor bins around spectrum bin \(9, 0\); increase window above 5$"
+        with pytest.raises(ValueError, match=expected):
+            spectral_median(spec, peaks, RepairParams(window=5, repair_radius=2))
+
 
 class TestDenoiseMoire:
     def test_clean_image_round_trips(self):
@@ -369,6 +396,16 @@ class TestDenoiseMoire:
         better = psnr(img, out).psnr_db
         worse = psnr(img, noisy).psnr_db
         assert better is None or better > worse
+
+    @pytest.mark.parametrize("method", ["notch", "median"])
+    def test_repair_returns_the_spectrum_denoise_inverts(self, method):
+        img = make_filtered_field(64, 64, sigma=1.2, seed=5)
+        noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 5 / 64, 0.0),)))
+        spec, peaks = analyze(noisy, RepairParams())
+        repaired = repair(spec, peaks, method, RepairParams())
+        assert isinstance(repaired, Spectrum)
+        out, _ = denoise_moire(noisy, method)
+        assert np.array_equal(idft2d(repaired).pixels, out.pixels)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown repair method"):

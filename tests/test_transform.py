@@ -7,6 +7,8 @@ from demoire import (
     GrayImage,
     MoireComponent,
     MoireSpec,
+    Peak,
+    PeakSet,
     RepairParams,
     Spectrum,
     center_shift,
@@ -14,8 +16,10 @@ from demoire import (
     dft2d,
     idft2d,
     log_magnitude,
+    mse,
     notch_reject,
     spectral_median,
+    spectral_mse,
     synthesize_moire,
 )
 from demoire.core import _owned_image
@@ -560,3 +564,51 @@ class TestProperties:
         assert np.array_equal(dft2d(img).data, dft2d(img).data)
         spec = dft2d(img)
         assert np.array_equal(idft2d(spec).pixels, idft2d(spec).pixels)
+
+
+# Both parities of H and W, so the half plane has one self-mirror column
+# (odd W) or two (even W), down to a single bin.
+SCORE_SHAPES = [(1, 1), (1, 2), (2, 1), (16, 16), (33, 29), (64, 63), (256, 256), (257, 256), (256, 320)]
+
+
+def score_pair(h, w):
+    """A random image and a noisy copy of it, both of shape h x w."""
+    rng = np.random.default_rng(h * 1000 + w)
+    clean = rng.uniform(0.0, 255.0, (h, w))
+    return GrayImage(clean), GrayImage(clean + rng.normal(0.0, 20.0, (h, w)))
+
+
+def self_mirror_peaks(h, w):
+    """Peak pairs in column v = 0, in column v = W/2 (or the last half-plane
+    column for odd W) and off both, as centered labels."""
+    offsets = [(h // 4, 0), (h // 3, -(w // 2)), (h // 5, w // 6)]
+    bins = {((h // 2 + s * du) % h, (w // 2 + s * dv) % w) for du, dv in offsets for s in (1, -1)}
+    return PeakSet(tuple(Peak(u, v, 1.0) for u, v in sorted(bins)))
+
+
+class TestSpectralMse:
+    @pytest.mark.parametrize("h, w", SCORE_SHAPES)
+    def test_matches_image_mse(self, h, w):
+        clean, noisy = score_pair(h, w)
+        assert spectral_mse(dft2d(clean), dft2d(noisy)) == pytest.approx(mse(clean, noisy), rel=1e-12)
+
+    # Below 16 bins a side every donor of the median repair lies in a repair disk.
+    @pytest.mark.parametrize(
+        "h, w, repair",
+        [(h, w, notch_reject) for h, w in SCORE_SHAPES]
+        + [(h, w, spectral_median) for h, w in SCORE_SHAPES if min(h, w) >= 16],
+    )
+    def test_matches_image_mse_of_repair(self, h, w, repair):
+        clean, noisy = score_pair(h, w)
+        repaired = repair(dft2d(noisy), self_mirror_peaks(h, w), RepairParams(repair_radius=2, window=7))
+        assert repaired.data.tobytes() != dft2d(noisy).data.tobytes()
+        want = mse(clean, idft2d(repaired))
+        assert spectral_mse(dft2d(clean), repaired) == pytest.approx(want, rel=1e-12)
+
+    def test_equal_spectra_score_zero(self):
+        spec = dft2d(score_pair(9, 8)[1])
+        assert spectral_mse(spec, spec) == 0.0
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            spectral_mse(dft2d(score_pair(8, 8)[0]), dft2d(score_pair(8, 9)[0]))
