@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime/data failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -68,6 +69,7 @@ METHODS = {
 ALL_METHODS = tuple(sorted(METHODS))
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="demoire", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -74,7 +74,9 @@ def _checked(arr: np.ndarray, kind: str) -> np.ndarray:
         raise ValueError(f"expected a 2D {kind} array, got {arr.ndim}D")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{kind} dimensions must be at least 1x1, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    # Complex: its real and imaginary parts, interleaved, cost half of complex isfinite.
+    values = arr.ravel().view(arr.real.dtype) if np.iscomplexobj(arr) else arr
+    if not np.isfinite(values).all():
         raise ValueError(f"{kind} values must all be finite")
     return arr
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GrayImage
+from .core import GrayImage, _owned_image
 
 __all__ = [
     "MoireComponent",
@@ -54,13 +54,21 @@ def synthesize_moire(img: GrayImage, spec: MoireSpec) -> GrayImage:
     """Add each sinusoid A*sin(2*pi*(fu*x + fv*y) + phase) to the image.
 
     The output is not clamped; downstream code sees the full-precision field.
+    By angle addition, sin(a + b) = sin a cos b + cos a sin b with a = 2*pi*fu*x
+    per row and b = 2*pi*fv*y + phase per column: a component costs H + W sines
+    and cosines, and its rank-2 outer product is added to the image in place.
     """
     out = img.pixels.copy()
-    x = np.arange(img.height, dtype=np.float64)[:, np.newaxis]
-    y = np.arange(img.width, dtype=np.float64)[np.newaxis, :]
+    term = np.empty_like(out)
+    x = np.arange(img.height, dtype=np.float64)
+    y = np.arange(img.width, dtype=np.float64)
     for c in spec.components:
-        out = out + c.amplitude * np.sin(2.0 * math.pi * (c.freq_u * x + c.freq_v * y) + c.phase)
-    return GrayImage(out)
+        a = 2.0 * math.pi * (c.freq_u * x)
+        b = 2.0 * math.pi * (c.freq_v * y) + c.phase
+        rows = c.amplitude * np.stack([np.sin(a), np.cos(a)])
+        np.einsum("ki,kj->ij", rows, np.stack([np.cos(b), np.sin(b)]), out=term)
+        out += term
+    return _owned_image(out)
 
 
 def add_gaussian(img: GrayImage, sigma: float, seed: int) -> GrayImage:
@@ -118,15 +126,18 @@ def default_noise_corpus(height: int, width: int) -> list[tuple[str, MoireSpec]]
     """The six documented benchmark contaminations, scaled to the image size.
 
     Three (amplitude, frequency) pairings spanning weak/strong and
-    axis-aligned/oblique interference, each at phases 0 and pi/3.
+    axis-aligned/oblique interference, each at phases 0 and pi/3. Bins are given
+    for a 256-pixel side and scale with the shorter side, outside the DC guard.
     """
     bases = [
         (10.0, 8, 6),
         (20.0, 12, 0),
         (40.0, 5, 11),
     ]
+    scale = max(1, round(min(height, width) / 256))
     corpus = []
     for amp, bu, bv in bases:
+        bu, bv = bu * scale, bv * scale  # bins from DC
         for tag, phase in (("p00", 0.0), ("p60", math.pi / 3.0)):
             name = f"a{int(amp):02d}-u{bu:02d}-v{bv:02d}-{tag}"
             comp = MoireComponent(amp, bu / height, bv / width, phase)

@@ -40,6 +40,7 @@ from demoire.cli import main
 from demoire.noise import default_noise_corpus
 from demoire.synth import default_bench_images, make_filtered_field
 
+from test_noise import per_pixel_moire
 from test_spatial import bilateral_full_offsets, nlm_full_offsets, tv_iterated_steps
 from test_transform import fft2_dft2d, ifft2_idft2d
 
@@ -535,6 +536,61 @@ def test_tracer_records_inverse_of_spectral_denoise(tmp_path, monkeypatch, const
     names = [span.name for span in tracer.spans]
     assert names.count("transform.idft2d") == 1
     assert names.index("spectral.notch_reject") < names.index("transform.idft2d")
+
+
+def test_bench_bytes_match_per_pixel_synthesis(tmp_path, transform_pin_inputs, monkeypatch):
+    # The four bench images and one clean field per off-grid workload shape.
+    bench, _ = transform_pin_inputs
+    images = tmp_path / "images"
+    shutil.copytree(bench, images)
+    for h, w in ((240, 256), (256, 320), (257, 256)):
+        write_image(images / f"field-{h}x{w}.pgm", make_filtered_field(h, w, sigma=0.7, seed=h * w).pixels)
+    assert main(["bench", "--images", str(images), "--out", str(tmp_path / "angle-addition.csv")]) == 0
+    monkeypatch.setattr(demoire.cli, "synthesize_moire", per_pixel_moire)
+    assert main(["bench", "--images", str(images), "--out", str(tmp_path / "per-pixel.csv")]) == 0
+    assert (tmp_path / "angle-addition.csv").read_bytes() == (tmp_path / "per-pixel.csv").read_bytes()
+
+
+class TestParser:
+    def test_built_once(self):
+        assert demoire.cli.build_parser() is demoire.cli.build_parser()
+
+    def test_calls_do_not_leak_into_each_other(self, tmp_path, transform_pin_inputs):
+        # A usage error that had already parsed --threshold, then a run with
+        # --threshold, then one without: each writes what it writes alone.
+        src = next(p for p in transform_pin_inputs[1] if p.stem == "offgrid-240x256")
+        base = ["denoise", "--in", str(src), "--method", "spectral-median"]
+        calls = {
+            "usage": [*base, "--out", str(tmp_path / "usage.pgm"), "--threshold", "5", "--window", "x"],
+            "threshold": [*base, "--out", str(tmp_path / "threshold.pgm"), "--threshold", "5"],
+            "plain": [*base, "--out", str(tmp_path / "plain.pgm")],
+        }
+
+        def run_all():
+            with pytest.raises(SystemExit) as err:
+                main(calls["usage"])
+            assert err.value.code == 2
+            assert main(calls["threshold"]) == 0 and main(calls["plain"]) == 0
+            return {name: (tmp_path / f"{name}.pgm").read_bytes() for name in ("threshold", "plain")}
+
+        together = run_all()
+        alone = {}
+        for name in ("threshold", "plain"):
+            demoire.cli.build_parser.cache_clear()
+            assert main(calls[name]) == 0
+            alone[name] = (tmp_path / f"{name}.pgm").read_bytes()
+        assert not (tmp_path / "usage.pgm").exists()
+        assert together == alone
+        assert alone["threshold"] != alone["plain"]  # so a leaked --threshold would show
+
+    def test_help_is_stable(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["denoise", "--help"])
+            assert err.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "--threshold" in texts[0]
 
 
 class TestPsnr:

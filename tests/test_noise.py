@@ -16,6 +16,31 @@ from demoire import (
     parse_moire_csv,
     synthesize_moire,
 )
+from demoire.spectral import RepairParams
+
+
+def per_pixel_moire(img, spec):
+    """Reference synthesis: np.sin of the full phase at every pixel, one component at a time."""
+    out = img.pixels.copy()
+    x = np.arange(img.height, dtype=np.float64)[:, np.newaxis]
+    y = np.arange(img.width, dtype=np.float64)[np.newaxis, :]
+    for c in spec.components:
+        out = out + c.amplitude * np.sin(2.0 * math.pi * (c.freq_u * x + c.freq_v * y) + c.phase)
+    return GrayImage(out)
+
+
+EQUIVALENCE_SPECS = {
+    "negative": MoireSpec((MoireComponent(25.0, -0.1234, 0.3141, 0.3), MoireComponent(15.0, 0.0712, -0.4321, 1.9))),
+    "nyquist": MoireSpec((MoireComponent(10.0, 0.5, -0.5, 0.7), MoireComponent(5.0, -0.5, 0.25, 0.0))),
+    "large-phase": MoireSpec((MoireComponent(30.0, 0.2071, 0.1113, 977.3), MoireComponent(8.0, -0.31, 0.05, -512.25))),
+    "three": MoireSpec(
+        (
+            MoireComponent(40.0, 5 / 256, 11 / 256, math.pi / 3),
+            MoireComponent(20.0, 0.4137, -0.0273, 2.5),
+            MoireComponent(1.5, -0.25, 0.5, 4.0),
+        )
+    ),
+}
 
 
 class TestSynthesizeMoire:
@@ -80,6 +105,13 @@ class TestSynthesizeMoire:
         comp = MoireComponent(1.0, 0.1, 0.1, 0.0)._replace(**{field: value})
         with pytest.raises(ValueError, match=f"^moire {field} must be finite"):
             MoireSpec((comp,))
+
+    @pytest.mark.parametrize("spec", EQUIVALENCE_SPECS.values(), ids=EQUIVALENCE_SPECS.keys())
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (64, 64), (240, 320), (257, 256), (1024, 1024)])
+    def test_matches_per_pixel_formula(self, shape, spec):
+        img = GrayImage(np.random.default_rng(shape[0] * 31 + shape[1]).random(shape) * 255)
+        got = synthesize_moire(img, spec).pixels
+        assert np.abs(got - per_pixel_moire(img, spec).pixels).max() <= 1e-9
 
     def test_input_untouched(self):
         img = GrayImage(np.zeros((16, 16)))
@@ -188,3 +220,25 @@ class TestDefaultCorpus:
         corpus = default_noise_corpus(64, 64)
         phases = sorted({spec.components[0].phase for _, spec in corpus})
         assert phases == pytest.approx([0.0, math.pi / 3])
+
+    @pytest.mark.parametrize("shape", [(256, 256), (512, 512), (1024, 1024), (2048, 2048), (256, 1024)])
+    def test_patterns_outside_dc_guard_and_below_nyquist(self, shape):
+        h, w = shape
+        guard = RepairParams().resolved_guard(h, w)
+        for name, spec in default_noise_corpus(h, w):
+            (c,) = spec.components
+            u, v = c.freq_u * h, c.freq_v * w  # bins from DC
+            assert u * u + v * v > guard * guard, name
+            assert max(abs(c.freq_u), abs(c.freq_v)) < 0.5, name
+
+    def test_bins_scale_with_shorter_side(self):
+        # Up to 383 pixels the base bins are kept, so 256x256 keeps its bytes;
+        # from 384 they scale by round(min(H, W) / 256).
+        assert [name for name, _ in default_noise_corpus(256, 256)] == [
+            "a10-u08-v06-p00", "a10-u08-v06-p60", "a20-u12-v00-p00",
+            "a20-u12-v00-p60", "a40-u05-v11-p00", "a40-u05-v11-p60",
+        ]
+        for (h, w), scale in (((383, 1024), 1), ((384, 384), 2), ((1024, 1024), 4), ((2048, 640), 2)):
+            (name, spec), *_ = default_noise_corpus(h, w)
+            assert name == f"a10-u{8 * scale:02d}-v{6 * scale:02d}-p00"
+            assert spec.components[0][1:3] == (8 * scale / h, 6 * scale / w)

@@ -384,6 +384,7 @@ class TestSpectrumOwnership:
             (np.ones((0, 4), dtype=complex), "at least 1x1"),
             (np.array([[1.0, np.inf]], dtype=complex), "finite"),
             (np.array([[1.0, complex(0.0, np.nan)]]), "finite"),
+            (np.full(4, np.nan, dtype=complex), "2D"),  # the shape is checked before the values
         ],
     )
     def test_owned_spectrum_validates(self, data, problem):
@@ -392,6 +393,18 @@ class TestSpectrumOwnership:
             _owned_spectrum(data, w)
         with pytest.raises(ValueError, match=problem):
             Spectrum(data, w)
+
+    @pytest.mark.parametrize("constructor", [Spectrum, _owned_spectrum], ids=["public", "owned"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_part_rejected(self, constructor, order, part, value):
+        # The check reads the float64 view of the complex plane, and a
+        # Fortran-ordered plane is copied into that view first.
+        data = np.asarray(fft2_half(6, 7), order=order)
+        getattr(data, part)[4, 2] = value
+        with pytest.raises(ValueError, match="^spectrum values must all be finite$"):
+            constructor(data, 7)
 
     @pytest.mark.parametrize("constructor", [Spectrum, _owned_spectrum], ids=["public", "owned"])
     def test_rejects_half_plane_of_other_width(self, constructor):
