@@ -39,7 +39,8 @@ def main(argv=None) -> int:
         clean = demoire.read_pgm(demoire.write_pgm(make_filtered_field(h, w, sigma=1.2, seed=0)))
         moire = demoire.MoireSpec((demoire.MoireComponent(20.0, (h // 6) / h, (w // 5) / w, 0.3),))
         params = demoire.RepairParams()
-        noisy_spec, peaks = demoire.analyze(demoire.synthesize_moire(clean, moire), params)
+        noisy_spec = demoire.dft2d(demoire.synthesize_moire(clean, moire))
+        peaks = demoire.detect_peaks(noisy_spec, params)
         repaired = demoire.notch_reject(noisy_spec, peaks, params)
         timings = {"idft2d+psnr": harness.time_calls(lambda: demoire.psnr(clean, demoire.idft2d(repaired)), REPEATS)}
         if hasattr(transform, "spectral_mse"):

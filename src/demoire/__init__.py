@@ -20,6 +20,7 @@ from .spatial import (
     BilateralParams,
     DiffusionParams,
     MedianParams,
+    ModeParams,
     NlmParams,
     TvParams,
     anisotropic_diffusion,
@@ -37,12 +38,10 @@ from .spectral import (
     Peak,
     PeakSet,
     RepairParams,
-    analyze,
     denoise_moire,
     detect_peaks,
     format_peaks_csv,
     notch_reject,
-    repair,
     spectral_median,
 )
 from .transform import Spectrum, center_shift, dft2d, idft2d, log_magnitude, spectral_mse
@@ -54,6 +53,7 @@ __all__ = [
     "DiffusionParams",
     "GrayImage",
     "MedianParams",
+    "ModeParams",
     "MoireComponent",
     "MoireSpec",
     "NlmParams",
@@ -66,7 +66,6 @@ __all__ = [
     "TvParams",
     "add_gaussian",
     "add_salt_pepper",
-    "analyze",
     "anisotropic_diffusion",
     "bilateral_filter",
     "center_shift",
@@ -88,7 +87,6 @@ __all__ = [
     "parse_moire_csv",
     "psnr",
     "read_pgm",
-    "repair",
     "spectral_median",
     "spectral_mse",
     "synthesize_moire",

@@ -24,6 +24,7 @@ from .spatial import (
     BilateralParams,
     DiffusionParams,
     MedianParams,
+    ModeParams,
     NlmParams,
     TvParams,
     anisotropic_diffusion,
@@ -33,10 +34,10 @@ from .spatial import (
     nlm_denoise,
     tv_denoise,
 )
-from .spectral import RepairParams, analyze, format_peaks_csv, repair
+from .spectral import RepairParams, detect_peaks, format_peaks_csv, notch_reject, spectral_median
 
 # perfbench/spans.py wraps these names in this module, so they stay importable here.
-from .spectral import denoise_moire, detect_peaks, notch_reject, spectral_median  # noqa: F401
+from .spectral import denoise_moire  # noqa: F401
 from .transform import center_shift  # noqa: F401
 from .transform import dft2d, idft2d, log_magnitude, spectral_mse
 
@@ -46,8 +47,8 @@ def _flags(*same: str, **renamed: str) -> dict[str, str]:
 
 
 class Method(NamedTuple):
-    func: str  # spectral repair, or spatial filter looked up in this module per call
-    params: type  # params class; dict passes the fields to func as keywords
+    func: str  # library function, looked up in this module per call: a repair or a filter
+    params: type  # its *Params class
     flags: dict[str, str]  # argparse dest -> params field; an unset flag keeps the default
 
     @property
@@ -57,12 +58,12 @@ class Method(NamedTuple):
 
 _SPECTRAL_FLAGS = _flags("repair_radius", "window", guard_dc="guard_dc_radius", threshold="detect_threshold")
 METHODS = {
-    "notch": Method("notch", RepairParams, _SPECTRAL_FLAGS),
-    "spectral-median": Method("median", RepairParams, _SPECTRAL_FLAGS),
+    "notch": Method("notch_reject", RepairParams, _SPECTRAL_FLAGS),
+    "spectral-median": Method("spectral_median", RepairParams, _SPECTRAL_FLAGS),
     "bilateral": Method("bilateral_filter", BilateralParams, _flags("sigma_s", "sigma_r")),
     "diffusion": Method("anisotropic_diffusion", DiffusionParams, _flags("k", "lam", "iterations", "conductance")),
     "median": Method("median_filter", MedianParams, _flags("window")),
-    "mode": Method("mode_filter", dict, _flags("window", "mode_kind", "bin_width")),
+    "mode": Method("mode_filter", ModeParams, _flags("window", "mode_kind", "bin_width")),
     "nlm": Method("nlm_denoise", NlmParams, _flags("h", "patch_radius", "search_radius")),
     "tv": Method("tv_denoise", TvParams, _flags("step", "iterations", "epsilon", tv_lambda="lam")),
 }
@@ -170,26 +171,22 @@ def _params(method: Method, args=None):
     return method.params(**given)
 
 
-def _filter(img: GrayImage, method: Method, params) -> GrayImage:
-    func = globals()[method.func]
-    return func(img, **params) if method.params is dict else func(img, params)
-
-
 def cmd_denoise(args) -> int:
     method = METHODS[args.method]
     if args.dump_peaks and not method.spectral:
         spectral = ", ".join(m for m in ALL_METHODS if METHODS[m].spectral)
         args.parser.error(f"--dump-peaks requires a spectral method ({spectral})")
     img = read_pgm(Path(args.input).read_bytes())
+    func, params = globals()[method.func], _params(method, args)
     spec = None
     if method.spectral:
-        params = _params(method, args)
-        spec, peaks = analyze(img, params)
-        denoised = idft2d(repair(spec, peaks, method.func, params))
+        spec = dft2d(img)
+        peaks = detect_peaks(spec, params)
+        denoised = idft2d(func(spec, peaks, params))
         if args.dump_peaks:
             Path(args.dump_peaks).write_text(format_peaks_csv(peaks))
     else:
-        denoised = _filter(img, method, _params(method, args))
+        denoised = func(img, params)
     if args.dump_spectrum:
         if spec is None:
             spec = dft2d(img)
@@ -238,17 +235,19 @@ def cmd_bench(args) -> int:
             base = psnr(clean, noisy)
             started = time.perf_counter()
             if spectral:
-                spec, peaks = analyze(noisy, params)
+                spec = dft2d(noisy)
+                peaks = detect_peaks(spec, params)
             analysis_s = time.perf_counter() - started
             for name in names:
                 method = METHODS[name]
                 # A spectral row's clock includes the analysis its method shares.
                 started = time.perf_counter() - (analysis_s if method.spectral else 0.0)
+                func = globals()[method.func]
                 if method.spectral:
                     # Scored by Parseval from the repaired spectrum: bench writes no image to invert.
-                    err = spectral_mse(clean_spec, repair(spec, peaks, method.func, params))
+                    err = spectral_mse(clean_spec, func(spec, peaks, params))
                 else:
-                    denoised = _filter(noisy, method, _params(method))
+                    denoised = func(noisy, _params(method))
                 runtime_ms = (time.perf_counter() - started) * 1000.0 if args.timing else 0.0
                 report = QualityReport.from_mse(err) if method.spectral else psnr(clean, denoised)
                 rows.append((path.stem, noise_id, name, base, report, runtime_ms))
@@ -273,6 +272,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ __all__ = [
     "BilateralParams",
     "DiffusionParams",
     "MedianParams",
+    "ModeParams",
     "NlmParams",
     "TvParams",
     "anisotropic_diffusion",
@@ -50,6 +51,22 @@ class MedianParams:
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"median window must be an odd integer >= 3, got {self.window}")
+
+
+@dataclass(frozen=True)
+class ModeParams:
+    window: int = 3
+    mode_kind: str = "local"  # or "global"
+    bin_width: float = 8.0  # histogram bin width (global), mean-shift band half-width (local)
+
+    def __post_init__(self):
+        if self.window < 3 or self.window % 2 == 0:
+            raise ValueError(f"mode window must be an odd integer >= 3, got {self.window}")
+        if self.bin_width <= 0:
+            raise ValueError(f"bin_width must be positive, got {self.bin_width}")
+        _require_finite("mode", bin_width=self.bin_width)
+        if self.mode_kind not in ("global", "local"):
+            raise ValueError(f"mode_kind must be 'global' or 'local', got {self.mode_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -169,9 +186,7 @@ def _local_mode(windows: np.ndarray, center: np.ndarray, bin_width: float) -> np
     return est
 
 
-def mode_filter(
-    img: GrayImage, window: int = 3, mode_kind: str = "local", bin_width: float = 8.0
-) -> GrayImage:
+def mode_filter(img: GrayImage, p: ModeParams) -> GrayImage:
     """Histogram-mode smoothing over a sliding window.
 
     "global" takes the center of the most populated histogram bin, with the
@@ -181,23 +196,16 @@ def mode_filter(
     mean of the neighbors within +-bin_width of the estimate) until the move
     drops below 1e-3 or 50 iterations pass.
     """
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"mode window must be an odd integer >= 3, got {window}")
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    _require_finite("mode", bin_width=bin_width)
-    if mode_kind not in ("global", "local"):
-        raise ValueError(f"mode_kind must be 'global' or 'local', got {mode_kind!r}")
     h, w = img.shape
-    half = window // 2
-    padded = np.pad(img.pixels, half, mode="edge")
+    window = p.window
+    padded = np.pad(img.pixels, window // 2, mode="edge")
     view = sliding_window_view(padded, (window, window))
 
-    mode = _global_mode if mode_kind == "global" else _local_mode
+    mode = _global_mode if p.mode_kind == "global" else _local_mode
     out = np.empty((h, w))
     rows = max(1, _MODE_BLOCK_VALUES // (w * window * window))
     for i0 in range(0, h, rows):
-        out[i0 : i0 + rows] = mode(view[i0 : i0 + rows], img.pixels[i0 : i0 + rows], bin_width)
+        out[i0 : i0 + rows] = mode(view[i0 : i0 + rows], img.pixels[i0 : i0 + rows], p.bin_width)
     return GrayImage(out)
 
 
@@ -284,23 +292,25 @@ def edge_conductance(grad, k: float, kind: str = "exponential"):
 
 
 def anisotropic_diffusion(img: GrayImage, p: DiffusionParams) -> GrayImage:
-    """Explicit 4-neighbor scheme u += lam * sum_d c(|d|) * d, Neumann borders."""
+    """Explicit 4-neighbor scheme u += lam * sum_d c(|d|) * d, Neumann borders.
+
+    The flux c(|d|) * d through an edge leaves one pixel and enters the other:
+    seen from the far pixel the difference is -d, and c(|-d|) * -d is exactly
+    -(c(|d|) * d). So each edge's flux is computed once, on the H - 1 row
+    edges and the W - 1 column edges, and added south, north, east, west in
+    that order.
+    """
     u = img.pixels.copy()
     for _ in range(p.iterations):
-        dn = np.zeros_like(u)
-        ds = np.zeros_like(u)
-        de = np.zeros_like(u)
-        dw = np.zeros_like(u)
-        dn[1:, :] = u[:-1, :] - u[1:, :]
-        ds[:-1, :] = u[1:, :] - u[:-1, :]
-        de[:, :-1] = u[:, 1:] - u[:, :-1]
-        dw[:, 1:] = u[:, :-1] - u[:, 1:]
-        flux = (
-            edge_conductance(dn, p.k, p.conductance) * dn
-            + edge_conductance(ds, p.k, p.conductance) * ds
-            + edge_conductance(de, p.k, p.conductance) * de
-            + edge_conductance(dw, p.k, p.conductance) * dw
-        )
+        dr = u[1:, :] - u[:-1, :]
+        dc = u[:, 1:] - u[:, :-1]
+        fr = edge_conductance(dr, p.k, p.conductance) * dr
+        fc = edge_conductance(dc, p.k, p.conductance) * dc
+        flux = np.zeros_like(u)
+        flux[:-1, :] += fr
+        flux[1:, :] -= fr
+        flux[:, :-1] += fc
+        flux[:, 1:] -= fc
         u = u + p.lam * flux
     return GrayImage(u)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,12 +38,10 @@ __all__ = [
     "Peak",
     "PeakSet",
     "RepairParams",
-    "analyze",
     "denoise_moire",
     "detect_peaks",
     "format_peaks_csv",
     "notch_reject",
-    "repair",
     "spectral_median",
 ]
 
@@ -445,29 +443,16 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     return _owned_spectrum(repaired, w)
 
 
-def analyze(img: GrayImage, params: RepairParams) -> tuple[Spectrum, PeakSet]:
-    """Transform and detect; one analysis can feed a ``repair`` per method."""
-    spec = dft2d(img)
-    return spec, detect_peaks(spec, params)
-
-
-def repair(spec: Spectrum, peaks: PeakSet, method: str, params: RepairParams) -> Spectrum:
-    """The spectrum with the detected bins repaired by "notch" or "median": ``idft2d``
-    makes it the denoised image, and ``spectral_mse`` scores it without inverting it."""
-    if method not in ("notch", "median"):
-        raise ValueError(f"unknown repair method {method!r}: expected 'notch' or 'median'")
-    step = notch_reject if method == "notch" else spectral_median
-    return step(spec, peaks, params)
-
-
 def denoise_moire(
-    img: GrayImage, method: str, params: RepairParams | None = None
+    img: GrayImage, repair: Callable[[Spectrum, PeakSet, RepairParams], Spectrum], params: RepairParams | None = None
 ) -> tuple[GrayImage, PeakSet]:
-    """Full pipeline: ``analyze``, ``repair`` with "notch" or "median", then ``idft2d``."""
+    """Full pipeline: ``dft2d``, ``detect_peaks``, ``repair`` (``notch_reject`` or
+    ``spectral_median``), then ``idft2d`` of the repaired spectrum."""
     if params is None:
         params = RepairParams()
-    spec, peaks = analyze(img, params)
-    return idft2d(repair(spec, peaks, method, params)), peaks
+    spec = dft2d(img)
+    peaks = detect_peaks(spec, params)
+    return idft2d(repair(spec, peaks, params)), peaks
 
 
 def format_peaks_csv(peaks: PeakSet) -> str:

@@ -18,6 +18,7 @@ from demoire import (
     DiffusionParams,
     GrayImage,
     MedianParams,
+    ModeParams,
     MoireComponent,
     MoireSpec,
     NlmParams,
@@ -172,7 +173,7 @@ def test_criterion_5_filter_property_suite():
     if not np.array_equal(median_filter(const, MedianParams(3)).pixels, const.pixels):
         failures.append("median constant")
     for kind in ("global", "local"):
-        if not np.array_equal(mode_filter(const, 3, kind, 8.0).pixels, const.pixels):
+        if not np.array_equal(mode_filter(const, ModeParams(3, kind, 8.0)).pixels, const.pixels):
             failures.append(f"mode[{kind}] constant")
     if not np.allclose(bilateral_filter(const, BilateralParams()).pixels, 55.0, atol=1e-12):
         failures.append("bilateral constant")

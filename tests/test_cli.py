@@ -14,24 +14,26 @@ from demoire import (
     DiffusionParams,
     GrayImage,
     MedianParams,
+    ModeParams,
     MoireComponent,
     MoireSpec,
     NlmParams,
     RepairParams,
     TvParams,
-    analyze,
     anisotropic_diffusion,
     bilateral_filter,
     center_shift,
     denoise_moire,
+    detect_peaks,
     dft2d,
     idft2d,
     median_filter,
     mode_filter,
     nlm_denoise,
+    notch_reject,
     psnr,
     read_pgm,
-    repair,
+    spectral_median,
     synthesize_moire,
     tv_denoise,
     write_pgm,
@@ -247,12 +249,12 @@ class TestDenoise:
     @pytest.mark.parametrize(
         "method, library",
         [
-            ("notch", lambda img: denoise_moire(img, "notch", RepairParams())[0]),
-            ("spectral-median", lambda img: denoise_moire(img, "median", RepairParams())[0]),
+            ("notch", lambda img: denoise_moire(img, notch_reject, RepairParams())[0]),
+            ("spectral-median", lambda img: denoise_moire(img, spectral_median, RepairParams())[0]),
             ("bilateral", lambda img: bilateral_filter(img, BilateralParams())),
             ("diffusion", lambda img: anisotropic_diffusion(img, DiffusionParams())),
             ("median", lambda img: median_filter(img, MedianParams())),
-            ("mode", lambda img: mode_filter(img)),
+            ("mode", lambda img: mode_filter(img, ModeParams())),
             ("nlm", lambda img: nlm_denoise(img, NlmParams())),
             ("tv", lambda img: tv_denoise(img, TvParams())),
         ],
@@ -378,6 +380,25 @@ class TestHostileInput:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
 
+    # Each radius asks for more than a 64-bit address space holds, so numpy
+    # refuses the allocation before it touches any memory.
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "notch", "--repair-radius", "100000000"],
+            ["--method", "nlm", "--search-radius", "10000000"],
+            ["--method", "bilateral", "--sigma-s", "1e7"],
+        ],
+    )
+    def test_huge_radius_exit_1_with_one_error_line(self, flags, constant_image, tmp_path, capsys):
+        out = tmp_path / "out.pgm"
+        assert main(["denoise", "--in", str(constant_image), "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def moire_bench_inputs(tmp_path_factory):
@@ -490,9 +511,10 @@ def spatial_bench_csv(image_dir):
         clean = read_pgm(path.read_bytes())
         for noise_id, mspec in default_noise_corpus(clean.height, clean.width):
             noisy = synthesize_moire(clean, mspec)
-            spec, peaks = analyze(noisy, RepairParams())
-            for name, method in (("notch", "notch"), ("spectral-median", "median")):
-                denoised = idft2d(repair(spec, peaks, method, RepairParams()))
+            spec = dft2d(noisy)
+            peaks = detect_peaks(spec, RepairParams())
+            for name, repair in (("notch", notch_reject), ("spectral-median", spectral_median)):
+                denoised = idft2d(repair(spec, peaks, RepairParams()))
                 rows.append((path.stem, noise_id, name, psnr(clean, noisy), psnr(clean, denoised)))
     rows.sort(key=lambda r: r[:3])
     lines = ["image,noise,method,psnr_noisy,psnr_denoised,runtime_ms"]
@@ -699,8 +721,8 @@ class TestBench:
         argv = ["bench", "--images", str(image_dir), "--methods", "notch,spectral-median"]
         assert main([*argv, "--out", str(plain)]) == 0
         calls = []
-        detect = demoire.spectral.detect_peaks
-        monkeypatch.setattr(demoire.spectral, "detect_peaks", lambda *a: calls.append(1) or detect(*a))
+        detect = demoire.cli.detect_peaks
+        monkeypatch.setattr(demoire.cli, "detect_peaks", lambda *a: calls.append(1) or detect(*a))
         assert main([*argv, "--out", str(timed), "--timing"]) == 0
         assert len(calls) == 2 * 6  # 2 images x 6 patterns: one detection per case for both methods
         plain_lines, timed_lines = plain.read_text().splitlines(), timed.read_text().splitlines()

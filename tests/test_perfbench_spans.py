@@ -40,3 +40,25 @@ def test_tracer_wraps_and_restores_library_functions(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     assert all(getattr(m, n) is f for (m, n), f in zip(targets, originals))
+
+
+def test_tracer_records_denoise_spans(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    rng = np.random.default_rng(6)
+    (tmp_path / "t.pgm").write_bytes(write_pgm(GrayImage(128.0 + rng.normal(0.0, 2.0, (32, 32)))))
+    argv = ["denoise", "--in", str(tmp_path / "t.pgm"), "--out", str(tmp_path / "o.pgm"), "--method"]
+    expected = {
+        "spectral-median": {"transform.dft2d", "spectral.detect_peaks", "spectral.spectral_median", "transform.idft2d"},
+        "mode": {"spatial.mode_filter"},
+    }
+    for method, names in expected.items():
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert demoire.cli.main([*argv, method]) == 0
+        finally:
+            tracer.uninstall()
+        assert names <= {span.name for span in tracer.spans}

@@ -10,6 +10,7 @@ from demoire import (
     DiffusionParams,
     GrayImage,
     MedianParams,
+    ModeParams,
     NlmParams,
     TvParams,
     anisotropic_diffusion,
@@ -143,6 +144,26 @@ def tv_iterated_steps(img, p: TvParams):
 SMALL_SHAPES = [(1, 1), (1, 7), (7, 1), (5, 9), (11, 6), (13, 13)]
 
 
+def diffusion_four_directions(img, p: DiffusionParams):
+    # Reference: the flux through each edge computed from both of its pixels,
+    # one zero-padded difference plane per direction.
+    u = img.pixels.copy()
+    for _ in range(p.iterations):
+        dn, ds, de, dw = (np.zeros_like(u) for _ in range(4))
+        dn[1:, :] = u[:-1, :] - u[1:, :]
+        ds[:-1, :] = u[1:, :] - u[:-1, :]
+        de[:, :-1] = u[:, 1:] - u[:, :-1]
+        dw[:, 1:] = u[:, :-1] - u[:, 1:]
+        flux = (
+            edge_conductance(dn, p.k, p.conductance) * dn
+            + edge_conductance(ds, p.k, p.conductance) * ds
+            + edge_conductance(de, p.k, p.conductance) * de
+            + edge_conductance(dw, p.k, p.conductance) * dw
+        )
+        u = u + p.lam * flux
+    return u
+
+
 def small_images(shape):
     # Uniform noise, and few levels with an edge: weights near 1 and near 0.
     rng = np.random.default_rng(shape)
@@ -232,13 +253,13 @@ class TestModeFilter:
     def test_constant_fixed_point_both_kinds(self):
         img = GrayImage(np.full((6, 6), 77.0))
         for kind in ("global", "local"):
-            out = mode_filter(img, 3, kind, 8.0)
+            out = mode_filter(img, ModeParams(3, kind, 8.0))
             assert np.array_equal(out.pixels, img.pixels)
 
     def test_global_mode_dominant_bin(self):
         arr = np.zeros((5, 5))
         arr[2, 2] = 255.0
-        out = mode_filter(GrayImage(arr), 3, "global", 8.0)
+        out = mode_filter(GrayImage(arr), ModeParams(3, "global", 8.0))
         # zeros dominate every neighborhood; pixels whose own value is 0 get
         # the zero-anchored bin center, exactly 0
         want = np.zeros((5, 5))
@@ -256,8 +277,8 @@ class TestModeFilter:
         assert count50 == 13
         img = GrayImage(arr)
         bw = 16.0
-        global_out = mode_filter(img, 5, "global", bw).pixels[2, 2]
-        local_out = mode_filter(img, 5, "local", bw).pixels[2, 2]
+        global_out = mode_filter(img, ModeParams(5, "global", bw)).pixels[2, 2]
+        local_out = mode_filter(img, ModeParams(5, "local", bw)).pixels[2, 2]
         # 190-anchored grid: the 50s land in bin round(-140/16) = -9 with
         # count 13, beating the 200s; its center is 190 - 9*16 = 46
         assert global_out == 46.0
@@ -265,13 +286,12 @@ class TestModeFilter:
         assert local_out == pytest.approx((11 * 200.0 + 190.0) / 12.0, abs=1e-9)
 
     def test_errors(self):
-        img = GrayImage(np.zeros((4, 4)))
         with pytest.raises(ValueError, match="odd"):
-            mode_filter(img, 4, "global", 8.0)
+            ModeParams(4, "global", 8.0)
         with pytest.raises(ValueError, match="bin_width"):
-            mode_filter(img, 3, "global", 0.0)
+            ModeParams(3, "global", 0.0)
         with pytest.raises(ValueError, match="mode_kind"):
-            mode_filter(img, 3, "median", 8.0)
+            ModeParams(3, "median", 8.0)
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES)
     @pytest.mark.parametrize("window", [3, 5, 7, 9])
@@ -287,7 +307,7 @@ class TestModeFilter:
         ]
         for pixels in cases:
             for bin_width in (0.3, 1.0, 4.0, 8.0, 16.0, 40.0):
-                got = mode_filter(GrayImage(pixels), window, "global", bin_width).pixels
+                got = mode_filter(GrayImage(pixels), ModeParams(window, "global", bin_width)).pixels
                 assert np.array_equal(got, global_mode_oracle(pixels, window, bin_width))
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -298,7 +318,7 @@ class TestModeFilter:
         for window in (3, 5, 9):
             monkeypatch.setattr(demoire.spatial, "_MODE_BLOCK_VALUES", rows * 8 * window * window)
             for bin_width in (0.3, 8.0, 40.0):
-                got = mode_filter(GrayImage(pixels), window, "global", bin_width).pixels
+                got = mode_filter(GrayImage(pixels), ModeParams(window, "global", bin_width)).pixels
                 assert np.array_equal(got, global_mode_oracle(pixels, window, bin_width))
 
     @pytest.mark.parametrize("shape", SMALL_SHAPES)
@@ -307,7 +327,7 @@ class TestModeFilter:
         rng = np.random.default_rng([*shape, window, 1])
         for pixels in (rng.integers(0, 3, shape) * 10.0, rng.random(shape) * 255.0):
             for bin_width in (0.3, 8.0, 40.0):
-                got = mode_filter(GrayImage(pixels), window, "local", bin_width).pixels
+                got = mode_filter(GrayImage(pixels), ModeParams(window, "local", bin_width)).pixels
                 assert np.array_equal(got, local_mode_reference(GrayImage(pixels), window, bin_width))
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -317,19 +337,19 @@ class TestModeFilter:
         for window in (3, 5, 9):
             monkeypatch.setattr(demoire.spatial, "_MODE_BLOCK_VALUES", rows * 8 * window * window)
             for bin_width in (0.3, 8.0, 40.0):
-                got = mode_filter(img, window, "local", bin_width).pixels
+                got = mode_filter(img, ModeParams(window, "local", bin_width)).pixels
                 assert np.array_equal(got, local_mode_reference(img, window, bin_width))
 
     @pytest.mark.parametrize("bin_width", [float("nan"), float("inf")])
     def test_rejects_non_finite_bin_width(self, bin_width):
         with pytest.raises(ValueError, match=r"mode bin_width must be finite"):
-            mode_filter(GrayImage(np.zeros((4, 4))), 3, "global", bin_width)
+            ModeParams(3, "global", bin_width)
 
     def test_output_within_neighborhood_range(self):
         rng = np.random.default_rng(14)
         img = GrayImage(rng.random((10, 10)) * 255)
         for kind in ("global", "local"):
-            out = mode_filter(img, 3, kind, 16.0)
+            out = mode_filter(img, ModeParams(3, kind, 16.0))
             assert out.pixels.min() >= img.pixels.min() - 8.0
             assert out.pixels.max() <= img.pixels.max() + 8.0
 
@@ -415,6 +435,15 @@ class TestAnisotropicDiffusion:
             DiffusionParams(lam=0.3)
         with pytest.raises(ValueError, match="lambda"):
             DiffusionParams(lam=0.0)
+
+    @pytest.mark.parametrize("shape", [(256, 256), (257, 256), (64, 63), (5, 7), (1, 9), (12, 1)])
+    @pytest.mark.parametrize("kind", ["exponential", "rational"])
+    def test_same_bytes_as_four_direction_reference(self, shape, kind):
+        rng = np.random.default_rng([*shape, len(kind)])
+        p = DiffusionParams(3.0, 0.25, 25, kind)
+        for pixels in (np.round(rng.random(shape) * 255.0), np.round(rng.normal(128.0, 4.0, shape))):
+            img = GrayImage(pixels)
+            assert anisotropic_diffusion(img, p).pixels.tobytes() == diffusion_four_directions(img, p).tobytes()
 
     def test_zero_iterations_identity(self):
         rng = np.random.default_rng(19)
@@ -575,4 +604,4 @@ def test_negative_infinity_keeps_positivity_error():
     with pytest.raises(ValueError, match="bilateral sigmas must be positive"):
         BilateralParams(sigma_s=float("-inf"))
     with pytest.raises(ValueError, match="bin_width must be positive"):
-        mode_filter(GrayImage(np.zeros((4, 4))), 3, "global", float("-inf"))
+        ModeParams(3, "global", float("-inf"))

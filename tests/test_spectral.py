@@ -9,7 +9,6 @@ from demoire import (
     PeakSet,
     RepairParams,
     Spectrum,
-    analyze,
     denoise_moire,
     detect_peaks,
     dft2d,
@@ -17,7 +16,6 @@ from demoire import (
     idft2d,
     notch_reject,
     psnr,
-    repair,
     spectral_median,
     synthesize_moire,
 )
@@ -339,14 +337,14 @@ class TestSpectralMedianReference:
 class TestDenoiseMoire:
     def test_clean_image_round_trips(self):
         img = GrayImage(np.full((64, 64), 128.0))
-        out, peaks = denoise_moire(img, "notch")
+        out, peaks = denoise_moire(img, notch_reject)
         assert len(peaks) == 0
         assert np.max(np.abs(out.pixels - img.pixels)) <= 1e-9
 
     def test_constant_image_high_psnr(self):
         img = GrayImage(np.full((64, 64), 128.0))
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 0.0, 0.0),)))
-        out, peaks = denoise_moire(noisy, "median")
+        out, peaks = denoise_moire(noisy, spectral_median)
         assert sorted((p.u, p.v) for p in peaks) == [(20, 32), (44, 32)]
         report = psnr(img, out)
         assert report.psnr_db is None or report.psnr_db >= 40.0
@@ -354,8 +352,8 @@ class TestDenoiseMoire:
     def test_median_beats_notch_on_textured_image(self):
         img = make_filtered_field(64, 64, sigma=1.2, seed=5)
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 0.0, 0.0),)))
-        med, _ = denoise_moire(noisy, "median")
-        notch, _ = denoise_moire(noisy, "notch")
+        med, _ = denoise_moire(noisy, spectral_median)
+        notch, _ = denoise_moire(noisy, notch_reject)
         p_med = psnr(img, med).psnr_db
         p_notch = psnr(img, notch).psnr_db
         assert p_med > p_notch
@@ -366,12 +364,12 @@ class TestDenoiseMoire:
     def test_denoised_beats_noisy(self):
         img = make_filtered_field(64, 64, sigma=1.2, seed=7)
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 0.0, 0.0),)))
-        out, _ = denoise_moire(noisy, "median")
+        out, _ = denoise_moire(noisy, spectral_median)
         assert psnr(img, out).psnr_db > psnr(img, noisy).psnr_db
 
     def test_odd_dimensions_round_trip(self):
         img = GrayImage(np.full((17, 19), 90.0))
-        out, peaks = denoise_moire(img, "median")
+        out, peaks = denoise_moire(img, spectral_median)
         assert len(peaks) == 0
         assert np.max(np.abs(out.pixels - img.pixels)) <= 1e-9
 
@@ -380,7 +378,7 @@ class TestDenoiseMoire:
         # whole grid; the oblique pair at distance sqrt(72) clears the guard.
         img = GrayImage(np.full((16, 16), 120.0))
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(30.0, 6 / 16, 6 / 16, 0.2),)))
-        out, peaks = denoise_moire(noisy, "median")
+        out, peaks = denoise_moire(noisy, spectral_median)
         assert sorted((p.u, p.v) for p in peaks) == [(2, 2), (14, 14)]
         better = psnr(img, out).psnr_db
         worse = psnr(img, noisy).psnr_db
@@ -391,25 +389,21 @@ class TestDenoiseMoire:
         # pair at (16 +- 7, 14 +- 5).
         img = GrayImage(np.full((33, 29), 100.0))
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(30.0, 7 / 33, 5 / 29, 0.4),)))
-        out, peaks = denoise_moire(noisy, "median")
+        out, peaks = denoise_moire(noisy, spectral_median)
         assert sorted((p.u, p.v) for p in peaks) == [(9, 9), (23, 19)]
         better = psnr(img, out).psnr_db
         worse = psnr(img, noisy).psnr_db
         assert better is None or better > worse
 
-    @pytest.mark.parametrize("method", ["notch", "median"])
-    def test_repair_returns_the_spectrum_denoise_inverts(self, method):
+    @pytest.mark.parametrize("repair", [notch_reject, spectral_median], ids=["notch", "median"])
+    def test_repair_returns_the_spectrum_denoise_inverts(self, repair):
         img = make_filtered_field(64, 64, sigma=1.2, seed=5)
         noisy = synthesize_moire(img, MoireSpec((MoireComponent(20.0, 12 / 64, 5 / 64, 0.0),)))
-        spec, peaks = analyze(noisy, RepairParams())
-        repaired = repair(spec, peaks, method, RepairParams())
+        spec = dft2d(noisy)
+        repaired = repair(spec, detect_peaks(spec, RepairParams()), RepairParams())
         assert isinstance(repaired, Spectrum)
-        out, _ = denoise_moire(noisy, method)
+        out, _ = denoise_moire(noisy, repair)
         assert np.array_equal(idft2d(repaired).pixels, out.pixels)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown repair method"):
-            denoise_moire(GrayImage(np.zeros((32, 32))), "butterworth")
 
 
 class TestPeaksCsv:
