@@ -61,8 +61,13 @@ def save(args: argparse.Namespace, result: dict) -> None:
         return
     path = Path(args.json)
     doc = json.loads(path.read_text()) if path.exists() else {}
+    # cpus_available is the number of row strips NLM and the bilateral filter run.
     doc.setdefault("host", {}).update(
-        cpus=os.cpu_count(), machine=platform.machine(), python=platform.python_version(), numpy=np.__version__
+        cpus=os.cpu_count(),
+        cpus_available=len(os.sched_getaffinity(0)),
+        machine=platform.machine(),
+        python=platform.python_version(),
+        numpy=np.__version__,
     )
     doc.setdefault("results", {})[args.label] = result
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -7,6 +7,7 @@ Every filter is a pure map over an immutable input frame with replicate
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,16 @@ __all__ = [
     "tv_energy",
 ]
 
-# Window values the mode filter holds per block of rows, so its peak memory
-# depends on this, not on the image height.
-_MODE_BLOCK_VALUES = 1 << 16
+# Window values per row block of the median and mode filters: it, not the height, bounds their memory.
+_BLOCK_VALUES = 1 << 16
+
+
+def _windows(img: GrayImage, window: int) -> tuple[np.ndarray, list[slice]]:
+    """The edge-padded window view of the image, and row blocks of it that hold at most _BLOCK_VALUES values."""
+    h, w = img.shape
+    rows = max(1, _BLOCK_VALUES // (w * window * window))
+    view = sliding_window_view(np.pad(img.pixels, window // 2, mode="edge"), (window, window))
+    return view, [np.s_[i0 : i0 + rows] for i0 in range(0, h, rows)]
 
 
 def _require_finite(owner: str, **values: float) -> None:
@@ -139,10 +147,8 @@ class NlmParams:
 
 def median_filter(img: GrayImage, p: MedianParams) -> GrayImage:
     """Window median at every pixel; odd window gives the exact middle value."""
-    half = p.window // 2
-    padded = np.pad(img.pixels, half, mode="edge")
-    windows = sliding_window_view(padded, (p.window, p.window))
-    return GrayImage(np.median(windows, axis=(2, 3)))
+    view, blocks = _windows(img, p.window)
+    return GrayImage(np.concatenate([np.median(view[b], axis=(2, 3)) for b in blocks]))
 
 
 def _global_mode(windows: np.ndarray, center: np.ndarray, bin_width: float) -> np.ndarray:
@@ -196,17 +202,9 @@ def mode_filter(img: GrayImage, p: ModeParams) -> GrayImage:
     mean of the neighbors within +-bin_width of the estimate) until the move
     drops below 1e-3 or 50 iterations pass.
     """
-    h, w = img.shape
-    window = p.window
-    padded = np.pad(img.pixels, window // 2, mode="edge")
-    view = sliding_window_view(padded, (window, window))
-
+    view, blocks = _windows(img, p.window)
     mode = _global_mode if p.mode_kind == "global" else _local_mode
-    out = np.empty((h, w))
-    rows = max(1, _MODE_BLOCK_VALUES // (w * window * window))
-    for i0 in range(0, h, rows):
-        out[i0 : i0 + rows] = mode(view[i0 : i0 + rows], img.pixels[i0 : i0 + rows], p.bin_width)
-    return GrayImage(out)
+    return GrayImage(np.concatenate([mode(view[b], img.pixels[b], p.bin_width) for b in blocks]))
 
 
 def gauss_weight(x, sigma: float):
@@ -218,6 +216,19 @@ def gauss_weight(x, sigma: float):
     np.exp(g, out=g)
     g /= 2.0 * math.pi * sigma * sigma
     return g if g.ndim else g[()]
+
+
+def _by_rows(h: int, rows) -> np.ndarray:
+    """``rows(lo, hi)`` on one strip of the h rows per available CPU, stacked; the last strip
+    runs on this thread, the others on worker threads (numpy's loops release the GIL)."""
+    from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import: not at module load
+
+    n = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, h)
+    bounds = [h * k // n for k in range(n + 1)]
+    with ThreadPoolExecutor(n) as pool:
+        workers = [pool.submit(rows, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
+        last = rows(bounds[-2], bounds[-1])
+        return np.concatenate([worker.result() for worker in workers] + [last])
 
 
 def _half_offsets(radius: int):
@@ -267,18 +278,21 @@ def bilateral_filter(img: GrayImage, p: BilateralParams) -> GrayImage:
     over every offset computes; only the order of the sums differs.
     """
     r = p.radius
-    base = img.pixels
-    padded = np.pad(base, r, mode="edge")
+    padded = np.pad(img.pixels, r, mode="edge")
     wgt0 = float(gauss_weight(0.0, p.sigma_s)) * float(gauss_weight(0.0, p.sigma_r))
-    num = wgt0 * base
-    den = np.full(img.shape, wgt0)
-    for du, dv in _half_offsets(r):
-        ws = float(gauss_weight(math.hypot(du, dv), p.sigma_s))
-        near, far = _pair_windows(padded, r, img.shape, du, dv)
-        wgt = gauss_weight(near - far, p.sigma_r)
-        wgt *= ws
-        _add_pair(num, den, wgt, near, far, du, dv)
-    return GrayImage(num / den)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        num = wgt0 * img.pixels[lo:hi]
+        den = np.full(num.shape, wgt0)
+        for du, dv in _half_offsets(r):
+            ws = float(gauss_weight(math.hypot(du, dv), p.sigma_s))
+            near, far = _pair_windows(padded[lo : hi + 2 * r], r, num.shape, du, dv)
+            wgt = gauss_weight(near - far, p.sigma_r)
+            wgt *= ws
+            _add_pair(num, den, wgt, near, far, du, dv)
+        return num / den
+
+    return GrayImage(_by_rows(img.shape[0], rows))
 
 
 def edge_conductance(grad, k: float, kind: str = "exponential"):
@@ -411,19 +425,24 @@ def nlm_denoise(img: GrayImage, p: NlmParams) -> GrayImage:
     both pixels; the zero offset, weight exp(0) = 1, starts the sums.
     """
     pr, sr = p.patch_radius, p.search_radius
-    h, w = img.shape
     big = np.pad(img.pixels, sr + pr, mode="edge")
     k1 = _patch_kernel(pr)
     h2 = p.h * p.h
-    num = img.pixels.copy()
-    den = np.ones(img.shape)
-    for du, dv in _half_offsets(sr):
-        # The same windows over the image grown by pr hold the patches.
-        near_patch, far_patch = _pair_windows(big, sr, (h + 2 * pr, w + 2 * pr), du, dv)
-        sq = np.subtract(near_patch, far_patch)
-        dist = _conv_valid_sep(np.multiply(sq, sq, out=sq), k1)
-        # In place, with dist / -h2 == -dist / h2 exactly.
-        wgt = np.exp(np.divide(dist, -h2, out=dist), out=dist)
-        near, far = _pair_windows(big, sr + pr, img.shape, du, dv)
-        _add_pair(num, den, wgt, near, far, du, dv)
-    return GrayImage(num / den)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        strip = big[lo : hi + 2 * (sr + pr)]
+        num = img.pixels[lo:hi].copy()
+        den = np.ones(num.shape)
+        grown = (hi - lo + 2 * pr, num.shape[1] + 2 * pr)
+        for du, dv in _half_offsets(sr):
+            # The same windows over the strip grown by pr hold the patches.
+            near_patch, far_patch = _pair_windows(strip, sr, grown, du, dv)
+            sq = np.subtract(near_patch, far_patch)
+            dist = _conv_valid_sep(np.multiply(sq, sq, out=sq), k1)
+            # In place, with dist / -h2 == -dist / h2 exactly.
+            wgt = np.exp(np.divide(dist, -h2, out=dist), out=dist)
+            near, far = _pair_windows(strip, sr + pr, num.shape, du, dv)
+            _add_pair(num, den, wgt, near, far, du, dv)
+        return num / den
+
+    return GrayImage(_by_rows(img.shape[0], rows))

@@ -111,13 +111,14 @@ class RepairParams:
         if not self.detect_threshold > 1.0:
             raise ValueError(f"detect_threshold must exceed 1, got {self.detect_threshold}")
         # Worst case: the window centered on a peak. The median needs support
-        # even after the whole repair disk is excluded from the donors.
-        disk_in_window = sum(
-            1
-            for du, dv in _disk_offsets(self.repair_radius)
-            if abs(du) <= self.window // 2 and abs(dv) <= self.window // 2
-        )
-        if self.window * self.window - disk_in_window < MIN_DONORS:
+        # even after the whole repair disk is excluded from the donors. Window
+        # row du holds the disk bins with dv^2 <= r^2 - du^2, fewer toward the
+        # edge, and a row with any donor has at least two, so the outer
+        # MIN_DONORS + 1 rows hold enough donors or all of them.
+        k, r = self.window // 2, self.repair_radius
+        rows = {s * du for du in range(max(0, k - MIN_DONORS), k + 1) for s in (1, -1)}
+        disk = sum(2 * min(k, math.isqrt(r * r - du * du)) + 1 for du in rows if du * du <= r * r)
+        if len(rows) * self.window - disk < MIN_DONORS:
             raise ValueError(
                 f"window {self.window} leaves fewer than {MIN_DONORS} donor bins outside "
                 f"a repair disk of radius {self.repair_radius}; increase window"

@@ -5,12 +5,16 @@ benchmark run, and one that binds a function early loses its spans without
 an error; this test catches both in the unit suite."""
 
 import importlib.util
+import os
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 import demoire.cli
+import demoire.spatial
 import demoire.spectral
 from demoire import GrayImage, write_pgm
 
@@ -62,3 +66,43 @@ def test_tracer_records_denoise_spans(monkeypatch, tmp_path):
         finally:
             tracer.uninstall()
         assert names <= {span.name for span in tracer.spans}
+
+
+def test_row_strip_filters_trace_on_one_thread(monkeypatch, tmp_path):
+    # The tracer assumes spans nest on one thread: the worker threads of the
+    # NLM and bilateral row strips must not call a wrapped name.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    monkeypatch.setattr(demoire.spatial.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    threads = []
+    begin = spans.Tracer.begin
+
+    def begin_on_thread(self, name):
+        threads.append(threading.get_ident())
+        return begin(self, name)
+
+    monkeypatch.setattr(spans.Tracer, "begin", begin_on_thread)
+    rng = np.random.default_rng(7)
+    (tmp_path / "t.pgm").write_bytes(write_pgm(GrayImage(128.0 + rng.normal(0.0, 9.0, (40, 36)))))
+    argv = ["denoise", "--in", str(tmp_path / "t.pgm"), "--out", str(tmp_path / "o.pgm"), "--method"]
+    for method, name in (("nlm", "spatial.nlm_denoise"), ("bilateral", "spatial.bilateral_filter")):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert demoire.cli.main([*argv, method]) == 0
+        finally:
+            tracer.uninstall()
+        assert [s.name for s in tracer.spans if s.name.startswith("spatial.")] == [name]
+    assert set(threads) == {threading.get_ident()}
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # concurrent.futures costs milliseconds to import; the row strips load it
+    # on first use, so a plain import of the command line does not pay it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, demoire.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

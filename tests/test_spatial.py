@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import demoire.cli
 import demoire.spatial
 from demoire import (
     BilateralParams,
@@ -23,6 +25,7 @@ from demoire import (
     total_variation,
     tv_denoise,
     tv_energy,
+    write_pgm,
 )
 
 
@@ -164,6 +167,58 @@ def diffusion_four_directions(img, p: DiffusionParams):
     return u
 
 
+def bilateral_reference(img, p: BilateralParams):
+    # Reference: the half-offset pair sums over the whole image on one thread.
+    r = p.radius
+    base = img.pixels
+    padded = np.pad(base, r, mode="edge")
+    wgt0 = float(gauss_weight(0.0, p.sigma_s)) * float(gauss_weight(0.0, p.sigma_r))
+    num = wgt0 * base
+    den = np.full(img.shape, wgt0)
+    for du, dv in demoire.spatial._half_offsets(r):
+        ws = float(gauss_weight(math.hypot(du, dv), p.sigma_s))
+        near, far = demoire.spatial._pair_windows(padded, r, img.shape, du, dv)
+        wgt = gauss_weight(near - far, p.sigma_r)
+        wgt *= ws
+        demoire.spatial._add_pair(num, den, wgt, near, far, du, dv)
+    return num / den
+
+
+def nlm_reference(img, p: NlmParams):
+    # Reference: the half-offset pair sums over the whole image on one thread.
+    sp = demoire.spatial
+    pr, sr = p.patch_radius, p.search_radius
+    h, w = img.shape
+    big = np.pad(img.pixels, sr + pr, mode="edge")
+    k1 = sp._patch_kernel(pr)
+    h2 = p.h * p.h
+    num = img.pixels.copy()
+    den = np.ones(img.shape)
+    for du, dv in sp._half_offsets(sr):
+        near_patch, far_patch = sp._pair_windows(big, sr, (h + 2 * pr, w + 2 * pr), du, dv)
+        sq = np.subtract(near_patch, far_patch)
+        dist = sp._conv_valid_sep(np.multiply(sq, sq, out=sq), k1)
+        wgt = np.exp(np.divide(dist, -h2, out=dist), out=dist)
+        near, far = sp._pair_windows(big, sr + pr, img.shape, du, dv)
+        sp._add_pair(num, den, wgt, near, far, du, dv)
+    return num / den
+
+
+# Row strips: every shape is split across 1, 2, 3 and 5 reported CPUs, down
+# to one row or one column per strip and more CPUs than rows.
+STRIP_SHAPES = [(256, 256), (257, 256), (64, 63), (17, 31), (5, 7), (1, 9), (12, 1), (2, 40)]
+STRIP_CPUS = (1, 2, 3, 5)
+
+
+def strip_image(shape):
+    rng = np.random.default_rng([*shape, 19])
+    return GrayImage(np.round(rng.random(shape) * 255.0))
+
+
+def report_cpus(monkeypatch, n):
+    monkeypatch.setattr(demoire.spatial.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def small_images(shape):
     # Uniform noise, and few levels with an edge: weights near 1 and near 0.
     rng = np.random.default_rng(shape)
@@ -236,6 +291,17 @@ class TestMedianFilter:
             got = median_filter(img, MedianParams(window)).pixels
             want = sort_median_oracle(img.pixels, window)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", STRIP_SHAPES)
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_row_blocks_same_bytes_as_whole_view(self, monkeypatch, shape, window):
+        img = strip_image(shape)
+        view = sliding_window_view(np.pad(img.pixels, window // 2, mode="edge"), (window, window))
+        want = np.median(view, axis=(2, 3)).tobytes()
+        assert median_filter(img, MedianParams(window)).pixels.tobytes() == want
+        for rows in (1, 3):  # blocks of 1 and 3 rows cross every block boundary
+            monkeypatch.setattr(demoire.spatial, "_BLOCK_VALUES", rows * shape[1] * window * window)
+            assert median_filter(img, MedianParams(window)).pixels.tobytes() == want
 
     def test_rejects_even_window(self):
         with pytest.raises(ValueError, match="odd"):
@@ -316,7 +382,7 @@ class TestModeFilter:
         rng = np.random.default_rng(15)
         pixels = rng.integers(0, 4, (11, 8)) * 7.0 + rng.random((11, 8))
         for window in (3, 5, 9):
-            monkeypatch.setattr(demoire.spatial, "_MODE_BLOCK_VALUES", rows * 8 * window * window)
+            monkeypatch.setattr(demoire.spatial, "_BLOCK_VALUES", rows * 8 * window * window)
             for bin_width in (0.3, 8.0, 40.0):
                 got = mode_filter(GrayImage(pixels), ModeParams(window, "global", bin_width)).pixels
                 assert np.array_equal(got, global_mode_oracle(pixels, window, bin_width))
@@ -335,7 +401,7 @@ class TestModeFilter:
         rng = np.random.default_rng(16)
         img = GrayImage(rng.integers(0, 4, (11, 8)) * 7.0 + rng.random((11, 8)) * 9.0)
         for window in (3, 5, 9):
-            monkeypatch.setattr(demoire.spatial, "_MODE_BLOCK_VALUES", rows * 8 * window * window)
+            monkeypatch.setattr(demoire.spatial, "_BLOCK_VALUES", rows * 8 * window * window)
             for bin_width in (0.3, 8.0, 40.0):
                 got = mode_filter(img, ModeParams(window, "local", bin_width)).pixels
                 assert np.array_equal(got, local_mode_reference(img, window, bin_width))
@@ -379,6 +445,22 @@ class TestBilateralFilter:
             for img in small_images(shape):
                 got = bilateral_filter(img, p).pixels
                 assert np.max(np.abs(got - bilateral_full_offsets(img, p))) <= 1e-9
+
+    @pytest.mark.parametrize("shape", STRIP_SHAPES)
+    @pytest.mark.parametrize("p", [BilateralParams(), BilateralParams(7.5, 12.0)], ids=["default", "7.5-12"])
+    def test_row_strips_same_bytes_as_reference(self, monkeypatch, shape, p):
+        img = strip_image(shape)
+        want = bilateral_reference(img, p).tobytes()
+        for cpus in STRIP_CPUS:
+            report_cpus(monkeypatch, cpus)
+            assert bilateral_filter(img, p).pixels.tobytes() == want, cpus
+
+    def test_row_strips_by_cpu_count_without_affinity(self, monkeypatch):
+        # Platforms without os.sched_getaffinity (macOS, Windows) split by os.cpu_count().
+        monkeypatch.delattr(demoire.spatial.os, "sched_getaffinity")
+        monkeypatch.setattr(demoire.spatial.os, "cpu_count", lambda: 3)
+        img = strip_image((17, 31))
+        assert bilateral_filter(img, BilateralParams()).pixels.tobytes() == bilateral_reference(img, BilateralParams()).tobytes()
 
     def test_gauss_weight_matches_reference(self):
         rng = np.random.default_rng(17)
@@ -558,6 +640,34 @@ class TestNlmDenoise:
             for img in small_images(shape):
                 got = nlm_denoise(img, p).pixels
                 assert np.max(np.abs(got - nlm_full_offsets(img, p))) <= 1e-9
+
+    @pytest.mark.parametrize("shape", STRIP_SHAPES)
+    @pytest.mark.parametrize("p", [NlmParams(), NlmParams(25.0, 2, 14)], ids=["default", "25-2-14"])
+    def test_row_strips_same_bytes_as_reference(self, monkeypatch, shape, p):
+        img = strip_image(shape)
+        want = nlm_reference(img, p).tobytes()
+        for cpus in STRIP_CPUS:
+            report_cpus(monkeypatch, cpus)
+            assert nlm_denoise(img, p).pixels.tobytes() == want, cpus
+
+    def test_worker_strip_error_exits_1(self, monkeypatch, tmp_path, capsys):
+        # A ValueError on a worker thread reaches cli.main, after every strip is joined.
+        conv = demoire.spatial._conv_valid_sep
+
+        def failing_off_main(arr, k1):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("worker strip failed")
+            return conv(arr, k1)
+
+        report_cpus(monkeypatch, 2)
+        monkeypatch.setattr(demoire.spatial, "_conv_valid_sep", failing_off_main)
+        before = threading.active_count()
+        (tmp_path / "in.pgm").write_bytes(write_pgm(strip_image((24, 20))))
+        argv = ["denoise", "--in", str(tmp_path / "in.pgm"), "--out", str(tmp_path / "out.pgm"), "--method", "nlm"]
+        assert demoire.cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: worker strip failed"]
+        assert threading.active_count() == before
+        assert not (tmp_path / "out.pgm").exists()
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(25)

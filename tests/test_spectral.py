@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,26 @@ class TestRepairParams:
     def test_rejects_window_without_donor_support(self):
         with pytest.raises(ValueError, match="donor"):
             RepairParams(window=3, repair_radius=3)
+
+    @pytest.mark.parametrize("window", range(3, 16, 2))
+    def test_disk_count_matches_offset_loop(self, monkeypatch, window):
+        # The count the check uses is pinned by moving MIN_DONORS to either
+        # side of the spare donors the old loop over every disk offset counts.
+        for radius in range(1, 31):
+            disk = spectral._disk_offsets(radius)
+            inside = sum(1 for du, dv in disk if abs(du) <= window // 2 and abs(dv) <= window // 2)
+            spare = window * window - inside
+            monkeypatch.setattr(spectral, "MIN_DONORS", spare)
+            RepairParams(repair_radius=radius, window=window)
+            monkeypatch.setattr(spectral, "MIN_DONORS", spare + 1)
+            with pytest.raises(ValueError, match=f"fewer than {spare + 1} donor bins"):
+                RepairParams(repair_radius=radius, window=window)
+
+    def test_huge_radius_rejected_fast(self):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="donor bins outside a repair disk of radius 1000"):
+            RepairParams(repair_radius=1000)
+        assert time.perf_counter() - started < 0.1
 
     def test_rejects_low_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
