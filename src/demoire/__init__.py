@@ -44,7 +44,7 @@ from .spectral import (
     notch_reject,
     spectral_median,
 )
-from .transform import Spectrum, center_shift, dft2d, idft2d, log_magnitude, spectral_mse
+from .transform import Spectrum, center_shift, dft2d, idft2d, log_magnitude, moire_spectrum, spectral_mse
 
 __version__ = "0.1.0"
 
@@ -81,6 +81,7 @@ __all__ = [
     "log_magnitude",
     "median_filter",
     "mode_filter",
+    "moire_spectrum",
     "mse",
     "nlm_denoise",
     "notch_reject",

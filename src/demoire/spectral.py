@@ -23,6 +23,7 @@ none of it depends on where DC sits. Peaks carry centered labels, DC at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -130,11 +131,13 @@ class RepairParams:
         return max(8, math.ceil(0.02 * min(height, width)))
 
 
+@functools.cache  # built once per radius and read-only, so every caller shares it
 def _disk_offsets(radius: int) -> np.ndarray:
     """(du, dv) rows, row-major: the offsets of the bins within ``radius`` of a bin."""
     du, dv = np.indices((2 * radius + 1, 2 * radius + 1)).reshape(2, -1) - radius
     inside = du * du + dv * dv <= radius * radius
-    return np.stack([du[inside], dv[inside]], axis=1)
+    (offsets := np.stack([du[inside], dv[inside]], axis=1)).setflags(write=False)
+    return offsets
 
 
 def _centered(k, n: int):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import GrayImage, _checked, _owned_image
 
-__all__ = ["Spectrum", "center_shift", "dft2d", "idft2d", "log_magnitude", "spectral_mse"]
+__all__ = ["Spectrum", "center_shift", "dft2d", "idft2d", "log_magnitude", "moire_spectrum", "spectral_mse"]
 
 # Tolerance of the Hermitian test at construction. The relative test catches
 # asymmetric spectral edits; the absolute floor, in pixel units (one bin's
@@ -144,6 +144,27 @@ def dft2d(img: GrayImage) -> Spectrum:
 def idft2d(spec: Spectrum) -> GrayImage:
     """Normalized inverse transform: ``irfft2`` of the half plane, exactly Hermitian by construction."""
     return _owned_image(np.fft.irfft2(spec.data, s=spec.shape))
+
+
+def _dirichlet(f: float, n: int) -> tuple[tuple[int, np.ndarray], tuple[int, np.ndarray]]:
+    """D_n(f) and D_n(-f), the length-n FFTs of exp(+-2i*pi*f*x), each as (first bin, values) over its support."""
+    if float(f * n).is_integer():  # on the bin grid: one exact impulse of height n
+        return (int(f * n) % n, np.full(1, float(n))), (-int(f * n) % n, np.full(1, float(n)))
+    d = np.fft.fft(np.exp(2j * np.pi * (f * np.arange(n))))
+    return (0, d), (0, np.roll(d[::-1], 1).conj())  # D_n(-f)[k] = conj(D_n(f)[-k])
+
+
+def moire_spectrum(base: Spectrum, components) -> Spectrum:
+    """``dft2d`` of the image of ``base`` plus each (A, fu, fv, phase) of ``components`` as A*sin(2*pi*(fu*x +
+    fv*y) + phase), to rounding, in closed form (Dirichlet kernels; Harris 1978): c * D_H(fu) (x) D_W(fv) +
+    conj(c) * D_H(-fu) (x) D_W(-fv), c = A e^{i phase} / 2i, added over the kernels' supports in the half plane."""
+    h, w = base.shape
+    data = base.data.copy()
+    for amp, fu, fv, phase in components:
+        c = amp * np.exp(1j * phase) / 2j
+        for coef, (u, rows), (v, cols) in zip((c, c.conjugate()), _dirichlet(fu, h), _dirichlet(fv, w)):
+            data[u : u + rows.size, v : v + cols.size] += np.outer(coef * rows, cols[: w // 2 + 1 - v])
+    return _owned_spectrum(data, w)
 
 
 def spectral_mse(a: Spectrum, b: Spectrum) -> float:

@@ -18,6 +18,7 @@ from demoire import (
     MoireComponent,
     MoireSpec,
     NlmParams,
+    QualityReport,
     RepairParams,
     TvParams,
     anisotropic_diffusion,
@@ -34,6 +35,7 @@ from demoire import (
     psnr,
     read_pgm,
     spectral_median,
+    spectral_mse,
     synthesize_moire,
     tv_denoise,
     write_pgm,
@@ -489,9 +491,10 @@ def test_spectral_bytes_match_full_plane_transforms(tmp_path, transform_pin_inpu
         monkeypatch.setattr(module, "dft2d", lambda img: calls.append(1) or fft2_dft2d(img))
         monkeypatch.setattr(module, "idft2d", lambda spec: calls.append(2) or ifft2_idft2d(spec))
     want_pgms, want_peaks, want_csv = spectral_outputs(tmp_path / "full-plane", bench, inputs)
-    # One transform pair per denoise. Bench inverts nothing: one forward per
-    # case, and one of each clean image to score the repaired spectra against.
-    assert (calls.count(1), calls.count(2)) == (2 * len(inputs) + 4 * 6 + 4, 2 * len(inputs))
+    # One transform pair per denoise. Bench inverts nothing and transforms only
+    # each clean image: a case's noisy spectrum is that spectrum plus the
+    # moire's closed form, and the repaired spectra are scored against it.
+    assert (calls.count(1), calls.count(2)) == (2 * len(inputs) + 4, 2 * len(inputs))
     assert csv == want_csv
     assert pgms == want_pgms
     for name, got in peaks.items():
@@ -502,6 +505,18 @@ def test_spectral_bytes_match_full_plane_transforms(tmp_path, transform_pin_inpu
         h, w = read_pgm(next(s for s in inputs if name.startswith(s.stem)).read_bytes()).shape
         mags = {(u, v): m for u, v, m in got}
         assert all(mags[(2 * (h // 2) - u) % h, (2 * (w // 2) - v) % w] == m for (u, v), m in mags.items())
+
+
+def bench_csv(rows):
+    """`bench` CSV text of (image, noise, method, noisy report, denoised report) rows, untimed."""
+    rows = sorted(rows, key=lambda r: r[:3])
+    lines = ["image,noise,method,psnr_noisy,psnr_denoised,runtime_ms"]
+    lines += [f"{i},{n},{m},{a.psnr_label()},{b.psnr_label()},0.000" for i, n, m, a, b in rows]
+    for name in sorted({r[2] for r in rows}):
+        means = [[r[k].psnr_db for r in rows if r[2] == name] for k in (3, 4)]
+        labels = ["inf" if None in m else f"{sum(m) / len(m):.2f}" for m in means]
+        lines.append(f"mean,all,{name},{labels[0]},{labels[1]},0.000")
+    return "\n".join(lines) + "\n"
 
 
 def spatial_bench_csv(image_dir):
@@ -517,14 +532,30 @@ def spatial_bench_csv(image_dir):
             for name, repair in (("notch", notch_reject), ("spectral-median", spectral_median)):
                 denoised = idft2d(repair(spec, peaks, RepairParams()))
                 rows.append((path.stem, noise_id, name, psnr(clean, noisy), psnr(clean, denoised)))
-    rows.sort(key=lambda r: r[:3])
-    lines = ["image,noise,method,psnr_noisy,psnr_denoised,runtime_ms"]
-    lines += [f"{i},{n},{m},{a.psnr_label()},{b.psnr_label()},0.000" for i, n, m, a, b in rows]
-    for name in ("notch", "spectral-median"):
-        means = [[r[k].psnr_db for r in rows if r[2] == name] for k in (3, 4)]
-        labels = ["inf" if None in m else f"{sum(m) / len(m):.2f}" for m in means]
-        lines.append(f"mean,all,{name},{labels[0]},{labels[1]},0.000")
-    return "\n".join(lines) + "\n"
+    return bench_csv(rows)
+
+
+def per_pixel_bench_csv(image_dir, names):
+    """The `bench` CSV over ``names`` (spectral methods and the median filter) as built
+    from the images: each noisy case synthesized per pixel and transformed on its own,
+    its PSNR taken on the image, and each spectral row scored by Parseval."""
+    repairs = {"notch": notch_reject, "spectral-median": spectral_median}
+    rows = []
+    for path in sorted(image_dir.glob("*.pgm")):
+        clean = read_pgm(path.read_bytes())
+        clean_spec = dft2d(clean)
+        for noise_id, mspec in default_noise_corpus(clean.height, clean.width):
+            noisy = per_pixel_moire(clean, mspec)
+            spec = dft2d(noisy)
+            peaks = detect_peaks(spec, RepairParams())
+            for name in names:
+                if name in repairs:
+                    err = spectral_mse(clean_spec, repairs[name](spec, peaks, RepairParams()))
+                    report = QualityReport.from_mse(err)
+                else:
+                    report = psnr(clean, median_filter(noisy, MedianParams()))
+                rows.append((path.stem, noise_id, name, psnr(clean, noisy), report))
+    return bench_csv(rows)
 
 
 def test_bench_spectrum_scores_match_image_psnr(tmp_path, transform_pin_inputs):
@@ -563,15 +594,21 @@ def test_tracer_records_inverse_of_spectral_denoise(tmp_path, monkeypatch, const
 
 def test_bench_bytes_match_per_pixel_synthesis(tmp_path, transform_pin_inputs, monkeypatch):
     # The four bench images and one clean field per off-grid workload shape.
+    # Bench adds the moire in the spectrum; the reference synthesizes every
+    # noisy image per pixel and transforms it. Only a spatial row synthesizes.
     bench, _ = transform_pin_inputs
     images = tmp_path / "images"
     shutil.copytree(bench, images)
     for h, w in ((240, 256), (256, 320), (257, 256)):
         write_image(images / f"field-{h}x{w}.pgm", make_filtered_field(h, w, sigma=0.7, seed=h * w).pixels)
-    assert main(["bench", "--images", str(images), "--out", str(tmp_path / "angle-addition.csv")]) == 0
-    monkeypatch.setattr(demoire.cli, "synthesize_moire", per_pixel_moire)
-    assert main(["bench", "--images", str(images), "--out", str(tmp_path / "per-pixel.csv")]) == 0
-    assert (tmp_path / "angle-addition.csv").read_bytes() == (tmp_path / "per-pixel.csv").read_bytes()
+    synthesized = []
+    monkeypatch.setattr(demoire.cli, "synthesize_moire", lambda *a: synthesized.append(1) or synthesize_moire(*a))
+    for names in (["notch", "spectral-median"], ["notch", "spectral-median", "median"]):
+        synthesized.clear()
+        out = tmp_path / f"{len(names)}-methods.csv"
+        assert main(["bench", "--images", str(images), "--out", str(out), "--methods", ",".join(names)]) == 0
+        assert len(synthesized) == (7 * 6 if "median" in names else 0)
+        assert out.read_text() == per_pixel_bench_csv(images, names)
 
 
 class TestParser:

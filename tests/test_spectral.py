@@ -74,6 +74,17 @@ class TestRepairParams:
             with pytest.raises(ValueError, match=f"fewer than {spare + 1} donor bins"):
                 RepairParams(repair_radius=radius, window=window)
 
+    def test_disk_offsets_cached_read_only(self):
+        # NMS and both repairs share one array per radius, so none may write to it.
+        for radius in range(1, 21):
+            disk = spectral._disk_offsets(radius)
+            du, dv = np.indices((2 * radius + 1, 2 * radius + 1)).reshape(2, -1) - radius
+            inside = du * du + dv * dv <= radius * radius
+            assert np.array_equal(disk, np.stack([du[inside], dv[inside]], axis=1))
+            assert spectral._disk_offsets(radius) is disk and not disk.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                disk[0, 0] = 0
+
     def test_huge_radius_rejected_fast(self):
         started = time.perf_counter()
         with pytest.raises(ValueError, match="donor bins outside a repair disk of radius 1000"):

@@ -12,6 +12,7 @@ from demoire import (
     RepairParams,
     Spectrum,
     center_shift,
+    default_noise_corpus,
     detect_peaks,
     dft2d,
     idft2d,
@@ -23,8 +24,8 @@ from demoire import (
     synthesize_moire,
 )
 from demoire.core import _owned_image
-from demoire.synth import make_filtered_field
-from demoire.transform import _owned_spectrum
+from demoire.synth import default_bench_images, make_filtered_field
+from demoire.transform import _dirichlet, _owned_spectrum, moire_spectrum
 
 # Shapes whose axes have no mirror pairs (1), one self-mirror bin (odd) or
 # two (even), and a prime axis.
@@ -625,3 +626,106 @@ class TestSpectralMse:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="dimensions differ"):
             spectral_mse(dft2d(score_pair(8, 8)[0]), dft2d(score_pair(8, 9)[0]))
+
+
+# Shapes of the closed-form moire tests: a detection minimum, the off-grid
+# workload shapes (257 is prime) and single rows and columns.
+MOIRE_SHAPES = [(16, 16), (240, 256), (257, 256), (256, 320), (1, 9), (12, 1)]
+
+
+def moire_cases(h, w):
+    """Named MoireSpecs for an h x w image: bins (ku, kv) on the grid, and off it by a fraction."""
+    ku, kv = h // 5, w // 7
+    on_u, on_v, off_u, off_v = ku / h, kv / w, (ku + 0.37) / h, (kv + 0.29) / w
+    return {
+        "on-grid": [(20.0, on_u, on_v, 0.4), (8.0, on_u, 0.0, 1.3)],
+        "off-grid": [(25.0, off_u, off_v, 0.3), (15.0, (h // 9 + 0.41) / h, -(w // 4 + 0.43) / w, 1.9)],
+        "one-axis-on-grid": [(12.0, on_u, off_v, 2.2), (9.0, off_u, on_v, -0.8)],
+        "near-grid": [(30.0, ku / h + 1e-9, np.nextafter(kv / w, 1.0), 0.6)],
+        "negative": [(18.0, -off_u, -on_v, 0.9), (11.0, -on_u, off_v, 2.9)],
+        "nyquist": [(10.0, 0.5, off_v, 0.3), (7.0, -0.5, -0.5, 1.2), (5.0, off_u, 0.5, 0.0)],
+        "zero-frequency": [(12.0, 0.0, 0.0, 0.0), (9.0, 0.0, 0.0, math.pi / 2)],
+        "zero-amplitude": [(0.0, off_u, off_v, 0.7)],
+        "empty": [],
+    }
+
+
+def offgrid_specs(h, w, count, seed):
+    """Seeded MoireSpecs of two sinusoids each at least 0.2 bin off the grid on both axes."""
+    rng = np.random.default_rng([h, w, seed])
+    specs = []
+    for _ in range(count):
+        comps = []
+        for _ in range(2):
+            bu = rng.integers(h // 10, 2 * h // 5) + rng.uniform(0.2, 0.8)
+            bv = rng.integers(w // 10, 2 * w // 5) + rng.uniform(0.2, 0.8)
+            sign = rng.choice([-1.0, 1.0])
+            comps.append(MoireComponent(rng.uniform(10.0, 40.0), bu / h, sign * bv / w, rng.uniform(0.0, 2 * math.pi)))
+        specs.append(MoireSpec(tuple(comps)))
+    return specs
+
+
+def assert_same_peaks(got, want):
+    """Same peak bins in the same order; magnitudes equal to rounding."""
+    assert [p[:2] for p in got] == [p[:2] for p in want]
+    assert all(abs(g.magnitude - m.magnitude) <= 1e-12 * m.magnitude for g, m in zip(got, want))
+
+
+class TestMoireSpectrum:
+    @pytest.mark.parametrize("h, w", MOIRE_SHAPES)
+    @pytest.mark.parametrize("case", list(moire_cases(16, 16)))
+    def test_matches_transform_of_synthesis(self, h, w, case):
+        img = random_image(h, w)
+        spec = MoireSpec(tuple(MoireComponent(*c) for c in moire_cases(h, w)[case]))
+        base = dft2d(img)
+        before = base.data.copy()
+        got = moire_spectrum(base, spec.components)
+        want = dft2d(synthesize_moire(img, spec)).data
+        assert np.abs(got.data - want).max() <= 1e-12 * np.abs(want).max()
+        # Built as every Spectrum is: exactly Hermitian, read-only; base untouched.
+        assert np.array_equal(got.data, hermitian(got.data, w)) and not got.data.flags.writeable
+        assert np.array_equal(base.data, before)
+        if case == "empty":
+            assert got is not base and np.array_equal(got.data, base.data)
+
+    def test_on_grid_axis_is_one_exact_impulse(self):
+        assert [(k, d.tolist()) for k, d in _dirichlet(3 / 16, 16)] == [(3, [16.0]), (13, [16.0])]
+        assert [(k, d.tolist()) for k, d in _dirichlet(-0.5, 16)] == [(8, [16.0]), (8, [16.0])]
+        assert [(k, d.tolist()) for k, d in _dirichlet(0.0, 1)] == [(0, [1.0]), (0, [1.0])]
+
+    @pytest.mark.parametrize("f, n", [(np.nextafter(3 / 16, 1.0), 16), (3 / 16 + 1e-9, 16), (0.5, 9), (-0.2371, 257)])
+    def test_off_grid_axis_is_the_whole_fft(self, f, n):
+        (k, pos), (k_neg, neg) = _dirichlet(f, n)
+        x = np.arange(n)
+        assert (k, k_neg, pos.size, neg.size) == (0, 0, n, n)
+        assert np.allclose(pos, np.fft.fft(np.exp(2j * np.pi * f * x)), rtol=0, atol=1e-12 * n)
+        assert np.allclose(neg, np.fft.fft(np.exp(-2j * np.pi * f * x)), rtol=0, atol=1e-12 * n)
+
+    def test_on_grid_component_changes_only_its_bins(self):
+        img = random_image(16, 16)
+        base = dft2d(img)
+        # Bin (3, 2) lies in the half plane and its mirror (13, 14) does not;
+        # bin (5, 0) and its mirror (11, 0) both lie in column 0.
+        for comp, bins in [((20.0, 3 / 16, 2 / 16, 0.4), {(3, 2)}), ((9.0, 5 / 16, 0.0, 1.1), {(5, 0), (11, 0)})]:
+            got = moire_spectrum(base, [comp])
+            changed = set(zip(*np.nonzero(got.data != base.data)))
+            assert changed == bins
+
+    def test_bench_corpus_peaks_match_image_path(self):
+        for _, clean in default_bench_images(256):
+            base = dft2d(clean)
+            for _, mspec in default_noise_corpus(256, 256):
+                got = detect_peaks(moire_spectrum(base, mspec.components), RepairParams())
+                want = detect_peaks(dft2d(synthesize_moire(clean, mspec)), RepairParams())
+                assert len(want) > 0
+                assert_same_peaks(got, want)
+
+    @pytest.mark.parametrize("h, w", [(240, 256), (256, 320), (257, 256)])
+    def test_offgrid_peaks_match_image_path(self, h, w):
+        clean = make_filtered_field(h, w, sigma=0.7, seed=h + w)
+        base = dft2d(clean)
+        for mspec in offgrid_specs(h, w, count=6, seed=11):
+            got = detect_peaks(moire_spectrum(base, mspec.components), RepairParams())
+            want = detect_peaks(dft2d(synthesize_moire(clean, mspec)), RepairParams())
+            assert len(want) >= 4
+            assert_same_peaks(got, want)
