@@ -1,23 +1,32 @@
 """Median wall time of one ``detect_peaks`` call, per input set.
 
-Eight sets: the 24 acceptance-bench cases (the four 256x256 bench images x
-the six on-grid corpus patterns); for each of 240x256, 256x320 and 257x256
-four off-grid cases (filtered-noise textures with two sinusoids 0.37 and 0.29
-bin off the grid); and 256x256 spectra on which the tier-1 count bound of
-``spectral._exceeds_background`` rules out few bins: a flat spectrum with a
-near-zero bin on every third row and column (no peaks), and a white spectrum
-at thresholds 3, 1.5 and 1.2 (hundreds to thousands of peaks, so greedy
-non-maximum suppression does real work). The flat and white spectra are
-drawn as half planes, as a real image's spectrum is stored, and completed as
-Hermitian in their self-mirror columns, as a Spectrum must be, so a tree
-that checks that symmetry accepts them and every tree sees the same
-magnitudes. Spectra are computed in dft2d order before timing, so no
-transform is timed. Each call gets a fresh copy of its spectrum, made
-outside the timer, so a tree that keeps a spectrum's magnitude plane builds
-it inside every timed call, as a pipeline run does once per spectrum. Where
-the timed tree has the tier-1 bound, each set also reports the share of the
-bins tier 1 scans that it keeps for the exact count: the whole plane, a
-column band around the half plane, or the half plane, as the tree scans.
+Eight sets, and a ninth where the timed tree has it: the 24 acceptance-bench
+cases (the four 256x256 bench images x the six on-grid corpus patterns), with
+no base and, as ``demoire bench`` calls it, against the clean spectrum; for
+each of 240x256, 256x320 and 257x256 four off-grid cases (filtered-noise
+textures with two sinusoids 0.37 and 0.29 bin off the grid); and 256x256
+spectra on which the tier-1 count bound of ``spectral._exceeds_background``
+rules out few bins: a flat spectrum with a near-zero bin on every third row
+and column (no peaks), and a white spectrum at thresholds 3, 1.5 and 1.2
+(hundreds to thousands of peaks, so greedy non-maximum suppression does real
+work). The flat and white spectra are drawn as half planes, as a real image's
+spectrum is stored, and completed as Hermitian in their self-mirror columns,
+as a Spectrum must be, so a tree that checks that symmetry accepts them and
+every tree sees the same magnitudes. Spectra are computed in dft2d order
+before timing, so no transform is timed. Each call gets a fresh copy of its
+spectrum, made outside the timer, so a tree that keeps a spectrum's magnitude
+plane builds it inside every timed call, as a pipeline run does once per
+spectrum. Where the timed tree has the tier-1 bound, each set also reports
+the share of the bins tier 1 scans that it keeps for the exact count: the
+whole plane, a column band around the half plane, or the half plane, as the
+tree scans.
+
+The set against the clean spectrum runs only where ``detect_peaks`` takes a
+``base``. Its noisy spectra are built in closed form (``moire_spectrum``), so
+they share every untouched bin with the clean one, as in ``bench``. Each
+image gets a fresh clean spectrum per pass, so its first timed case also
+builds the clean spectrum's magnitude and analysis; ``mean_ms`` spreads that
+over the image's six cases.
 
     python benchmarks/detect.py                        # time ./src, print only
     python benchmarks/detect.py --src OTHER/src --label parent --json BENCH_6.json
@@ -29,6 +38,7 @@ The options are those of ``benchmarks/harness.py``.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import sys
 import time
 
@@ -98,6 +108,18 @@ def white_spectrum(demoire, h: int = 256, w: int = 256):
     return half_plane_spectrum(demoire, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), w)
 
 
+def bench_cases_with_base(demoire):
+    from demoire.noise import default_noise_corpus
+    from demoire.synth import default_bench_images
+
+    cases = []
+    for _, img in default_bench_images(256):
+        clean = demoire.dft2d(img)
+        spectra = [demoire.moire_spectrum(clean, s.components) for _, s in default_noise_corpus(*img.shape)]
+        cases.append((clean, spectra))
+    return cases
+
+
 def fresh(spec):
     """A copy of ``spec`` with none of its derived planes built yet."""
     return dataclasses.replace(spec)
@@ -144,6 +166,22 @@ def median_ms(demoire, spectra, threshold: float | None = None) -> dict:
     return result
 
 
+def median_ms_with_base(demoire, cases) -> dict:
+    """Per case, over REPEATS passes after one untimed pass; each pass starts from fresh clean spectra."""
+    params = demoire.RepairParams()
+    samples = []
+    for repeat in range(REPEATS + 1):
+        for clean, spectra in cases:
+            base = fresh(clean)
+            for spec in spectra:
+                cold = fresh(spec)
+                started = time.perf_counter()
+                demoire.detect_peaks(cold, params, base)
+                if repeat:
+                    samples.append(time.perf_counter() - started)
+    return {**harness.quartiles_ms(samples), "mean_ms": round(float(np.mean(samples)) * 1000.0, 3)}
+
+
 def main(argv=None) -> int:
     args = harness.parse_args(__doc__, argv)
     import demoire
@@ -155,8 +193,12 @@ def main(argv=None) -> int:
     for threshold in WHITE_THRESHOLDS:
         sets[f"white 256x256 threshold {threshold:g}"] = ([white_spectrum(demoire)], threshold)
     result = {name: median_ms(demoire, spectra, threshold) for name, (spectra, threshold) in sets.items()}
+    if "base" in inspect.signature(demoire.detect_peaks).parameters:
+        cases = bench_cases_with_base(demoire)
+        result["bench 256x256 against the clean spectrum"] = median_ms_with_base(demoire, cases)
     for name, r in result.items():
         share = f", tier 1 keeps {r['tier1_share']:.1%} of the bins it scans" if "tier1_share" in r else ""
+        share += f", mean {r['mean_ms']:.2f} ms" if "mean_ms" in r else ""
         print(harness.describe(args.label, f"{name}: detect_peaks", r) + share)
     harness.save(args, result)
     return 0

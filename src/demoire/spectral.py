@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -180,6 +181,7 @@ def _tile_groups() -> dict[int, list[tuple[int, int]]]:
 
 
 _TILE_GROUPS = _tile_groups()
+_ANNULUS = np.argwhere(_annulus_footprint()) - ANNULUS_SIZE // 2  # (du, dv) offsets of the 416 annulus bins
 
 
 def _window_min(plane: np.ndarray, side: int) -> np.ndarray:
@@ -233,6 +235,55 @@ def _count_bound(padded: np.ndarray, limit: np.ndarray) -> np.ndarray:
     return bound[:, :w]
 
 
+def _limits(mag: np.ndarray, threshold: float) -> np.ndarray:
+    """The float32 count limits of the magnitudes ``mag``, rounded up (see ``_exceeds_background``)."""
+    limit = (mag / threshold * (1.0 + 1e-6)).astype(np.float32)
+    return np.minimum(limit.view(np.uint32) + 1, np.float32(np.inf).view(np.uint32)).view(np.float32)
+
+
+def _exact_test(mag: np.ndarray, u: np.ndarray, v: np.ndarray, threshold: float, windows=None) -> np.ndarray:
+    """Tier 2 at the bins (u, v): the exact count, the float32 median and the float64 verdict. The 21x21
+    windows come from ``windows``, those of the wrapped float32 plane, or if None straight from ``mag``."""
+    (h, w), r, footprint, half = mag.shape, ANNULUS_SIZE // 2, _annulus_footprint(), len(_ANNULUS) // 2
+    span, core = np.arange(-r, r + 1), slice(r - ANNULUS_CORE // 2, r + ANNULUS_CORE // 2 + 1)
+    verdict, chunk = np.zeros(u.size, dtype=bool), max(1, _GATHER_LIMIT // footprint.size)
+    for i0 in range(0, u.size, chunk):
+        at = slice(i0, i0 + chunk)
+        if windows is None:
+            window = mag[(u[at, None, None] + span[:, None]) % h, (v[at, None, None] + span) % w].astype(np.float32)
+        else:
+            window = windows[u[at], v[at]]
+        # Count the whole window and take the core back out: the annulus is
+        # masked out (a slower gather) only for the bins that pass.
+        below = (window < _limits(mag[u[at], v[at]], threshold)[:, np.newaxis, np.newaxis]).view(np.uint8)
+        count = below.reshape(len(window), -1).sum(axis=1, dtype=np.int16)
+        count -= below[:, core, core].sum(axis=(1, 2), dtype=np.int16)
+        counted = np.flatnonzero(count >= half)
+        # np.median's value without its per-call cost: fl(a + b) / 2 of the middle two, in float32.
+        middle = np.partition(window[counted][:, footprint], (half - 1, half), axis=1)[:, half - 1 : half + 1]
+        background = ((middle[:, 0] + middle[:, 1]) / np.float32(2)).astype(np.float64)
+        verdict[i0 + counted] = mag[u[at][counted], v[at][counted]] > threshold * background
+    return verdict
+
+
+def _background_test(mag: np.ndarray, candidates: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_exceeds_background``, and the tier-1 count bound of the half plane."""
+    h, w = mag.shape
+    r, n = ANNULUS_SIZE // 2, w // 2 + 1
+    # The half plane wrapped by r on every side: padded (i, j) is plane (i - r, j - r).
+    padded = np.pad(mag.astype(np.float32), r, mode="wrap")[:, : n + 2 * r]
+    mirrored = np.roll(candidates[::-1, ::-1], 1, axis=(0, 1))  # mirrored[k] = candidates[-k]
+    limit = _limits(mag[:, :n], threshold)
+    # A limit of 0 admits no magnitude: the bound of a non-candidate is 0, so tier 2 never sees it.
+    limit[~(candidates | mirrored)[:, :n]] = 0.0
+    bound = _count_bound(padded, limit)
+    rows, cols = np.divmod(np.flatnonzero(bound >= len(_ANNULUS) // 2), n)
+    exceeds = np.zeros((h, w), dtype=bool)
+    exceeds[rows, cols] = _exact_test(mag, rows, cols, threshold, sliding_window_view(padded, (ANNULUS_SIZE,) * 2))
+    _fill_mirrors(exceeds)
+    return exceeds & candidates, bound
+
+
 def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: float) -> np.ndarray:
     """Candidate bins whose magnitude exceeds threshold x local background.
 
@@ -241,8 +292,9 @@ def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: floa
     bins, so the median is fl(a + b) / 2 of the 208th- and 209th-smallest
     values a <= b, which is never below a. A bin can therefore exceed only if
     at least 208 annulus values lie below mag / threshold. The per-bin limit
-    is rounded up (relative slack 1e-6, then one float32 step) so float32 and
-    float64 rounding can only let more bins through, never fewer.
+    is rounded up (relative slack 1e-6, then one float32 step: the next bit
+    pattern, as limit >= 0, with +inf kept) so float32 and float64 rounding
+    can only let more bins through, never fewer.
 
     ``mag`` is a full plane in dft2d order that is point-symmetric, mag[-k]
     == mag[k], as ``Spectrum.magnitude`` is. The annulus is point-symmetric
@@ -254,56 +306,15 @@ def _exceeds_background(mag: np.ndarray, candidates: np.ndarray, threshold: floa
 
     The count is tested in two tiers. Tier 1 bounds it from above for the
     whole half plane with one compare per tile (``_count_bound``); bins whose
-    bound is below 208 cannot exceed. Tier 2 gathers the 21x21 window of
-    each surviving bin and counts its annulus exactly. The few bins that
-    still pass get the exact float32 median and the float64 test
-    ``mag > threshold * background``, so the result is the same as computing
-    the median at every bin. The saving depends on tier 1 ruling out almost
+    bound is below 208 cannot exceed. Tier 2 (``_exact_test``) gathers the
+    21x21 window of each surviving bin and counts its annulus exactly. The
+    few bins that still pass get the exact float32 median and the float64
+    test ``mag > threshold * background``, so the result is the same as
+    computing the median at every bin. The saving depends on tier 1 ruling out almost
     every bin, as it does on the spectra of textured images (it keeps under
     1.5%); each bin it keeps costs a window gather.
     """
-    h, w = mag.shape
-    r = ANNULUS_SIZE // 2
-    footprint = _annulus_footprint()
-    half = footprint.sum() // 2
-    n = w // 2 + 1
-
-    # The half plane wrapped by r on every side: padded (i, j) is plane (i - r, j - r).
-    padded = np.pad(mag.astype(np.float32), r, mode="wrap")[:, : n + 2 * r]
-    mirrored = np.roll(candidates[::-1, ::-1], 1, axis=(0, 1))  # mirrored[k] = candidates[-k]
-    chosen = (candidates | mirrored)[:, :n]
-
-    raised = mag[:, :n] / threshold
-    raised *= 1.0 + 1e-6
-    limit = raised.astype(np.float32)
-    # One float32 step up, as np.nextafter(limit, inf) but without its
-    # per-element cost: limit >= 0, so that is the next bit pattern, and
-    # +inf (whose next pattern is a NaN) stays +inf.
-    bits = limit.view(np.uint32)
-    bits += 1
-    np.minimum(bits, np.float32(np.inf).view(np.uint32), out=bits)
-    # A limit of 0 admits no magnitude, so non-candidates never pass.
-    limit[~chosen] = 0.0
-    rows, cols = np.divmod(np.flatnonzero(_count_bound(padded, limit) >= half), n)
-
-    exceeds = np.zeros((h, w), dtype=bool)
-    windows = sliding_window_view(padded, (ANNULUS_SIZE, ANNULUS_SIZE))
-    core = slice(r - ANNULUS_CORE // 2, r + ANNULUS_CORE // 2 + 1)
-    chunk = max(1, _GATHER_LIMIT // footprint.size)
-    for i0 in range(0, rows.size, chunk):
-        u, v = rows[i0 : i0 + chunk], cols[i0 : i0 + chunk]
-        window = windows[u, v]
-        # Count the whole window and take the core back out: the annulus is
-        # masked out (a slower gather) only for the bins that pass.
-        below = (window < limit[u, v, np.newaxis, np.newaxis]).view(np.uint8)
-        count = below.reshape(u.size, -1).sum(axis=1, dtype=np.int16)
-        count -= below[:, core, core].sum(axis=(1, 2), dtype=np.int16)
-        counted = count >= half
-        u, v = u[counted], v[counted]
-        background = np.median(window[counted][:, footprint], axis=1).astype(np.float64)
-        exceeds[u, v] = mag[u, v] > threshold * background
-    _fill_mirrors(exceeds)
-    return exceeds & candidates
+    return _background_test(mag, candidates, threshold)[0]
 
 
 def _outside_guard(h: int, w: int, guard: int) -> np.ndarray:
@@ -316,7 +327,36 @@ def _outside_guard(h: int, w: int, guard: int) -> np.ndarray:
     return (fv * fv)[np.newaxis, :] > (g * g - fu * fu)[:, np.newaxis]
 
 
-def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
+# Spectrum -> {(threshold, guard): (peak, outside, exceeds, bound)}; weak keys, so an entry dies with its spectrum.
+_ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _retest(mag: np.ndarray, base: Spectrum, threshold: float, guard: int) -> np.ndarray | None:
+    """``_exceeds_background`` of ``mag`` from the full test of ``base``, or None when the full test is due."""
+    found = _ANALYSES.setdefault(base, {})
+    if (threshold, guard) not in found:
+        peak, outside = float(base.magnitude.max()), _outside_guard(*base.shape, guard)
+        tested = _background_test(base.magnitude, outside & (base.magnitude > MAG_FLOOR_REL * peak), threshold)
+        found[threshold, guard] = peak, outside, *tested
+    peak, outside, exceeds, bound = found[threshold, guard]
+    (h, w), n = mag.shape, mag.shape[1] // 2 + 1
+    du, dv = np.divmod(np.flatnonzero(mag != base.magnitude), w)
+    if float(mag.max()) != peak or 2 * du.size * len(_ANNULUS) > h * n:
+        return None
+    # k: per half-plane bin, the changed bins in its annulus; the changed half-plane bins are re-tested too.
+    tu, tv = (du[:, np.newaxis] - _ANNULUS[:, 0]) % h, (dv[:, np.newaxis] - _ANNULUS[:, 1]) % w
+    touched, k = np.unique(tu[tv < n] * n + tv[tv < n], return_counts=True)
+    tu, tv = np.divmod(touched, n)
+    ru, rv = np.divmod(np.union1d(touched[bound[tu, tv] + k >= len(_ANNULUS) // 2], (du * n + dv)[dv < n]), n)
+    eligible = outside[ru, rv] & (mag[ru, rv] > MAG_FLOOR_REL * peak)
+    exceeds = exceeds.copy()
+    exceeds[tu, tv] = exceeds[du, dv] = False
+    exceeds[ru[eligible], rv[eligible]] = _exact_test(mag, ru[eligible], rv[eligible], threshold)
+    _fill_mirrors(exceeds)
+    return exceeds
+
+
+def detect_peaks(spec: Spectrum, params: RepairParams, base: Spectrum | None = None) -> PeakSet:
     """Find impulse bins: magnitude above threshold x local background.
 
     The local background is the median magnitude of the annulus around each
@@ -328,6 +368,16 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
     bin per repair disk, and the result is symmetrized so every peak's
     Hermitian mirror is present. Detection runs on the full magnitude plane
     in dft2d order; the peaks carry centered labels.
+
+    ``base``, a spectrum of the same shape whose full test is kept while it
+    lives, changes the cost, never the result ``detect_peaks(spec, params)``.
+    A half-plane bin b with an unchanged magnitude has at most c(b) + k(b) <=
+    bound(b) + k(b) annulus values below its limit (c and bound: its count
+    and tier-1 bound in ``base``; k: the changed full-plane bins in its
+    annulus). Tier 2 re-tests the changed bins and those with k(b) > 0 and
+    bound(b) + k(b) >= 208; other bins with k(b) > 0 are False, and the rest
+    keep their verdicts. A new largest magnitude (it sets the floor), or a
+    re-test that could cost more than the full test, takes the full test.
     """
     h, w = spec.shape
     if h < MIN_DETECT_DIM or w < MIN_DETECT_DIM:
@@ -335,10 +385,15 @@ def detect_peaks(spec: Spectrum, params: RepairParams) -> PeakSet:
             f"spectrum {h}x{w} is too small for the {ANNULUS_SIZE}x{ANNULUS_SIZE} detection "
             f"annulus; images must be at least {MIN_DETECT_DIM}x{MIN_DETECT_DIM}"
         )
-    mag = spec.magnitude
-    eligible = _outside_guard(h, w, params.resolved_guard(h, w)) & (mag > MAG_FLOOR_REL * float(mag.max()))
+    if base is not None and base.shape != spec.shape:
+        raise ValueError(f"base spectrum is {base.shape[0]}x{base.shape[1]}, not {h}x{w}")
+    mag, threshold, guard = spec.magnitude, params.detect_threshold, params.resolved_guard(h, w)
+    exceeds = None if base is None else _retest(mag, base, threshold, guard)
+    if exceeds is None:
+        eligible = _outside_guard(h, w, guard) & (mag > MAG_FLOOR_REL * float(mag.max()))
+        exceeds = _exceeds_background(mag, eligible, threshold)
     # Flat indices: np.nonzero walks a 2-D mask element by element.
-    u, v = np.divmod(np.flatnonzero(_exceeds_background(mag, eligible, params.detect_threshold)), w)
+    u, v = np.divmod(np.flatnonzero(exceeds), w)
     if u.size == 0:
         return PeakSet(())
 

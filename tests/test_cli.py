@@ -766,6 +766,27 @@ class TestBench:
         plain_lines, timed_lines = plain.read_text().splitlines(), timed.read_text().splitlines()
         assert [ln.rsplit(",", 1)[0] for ln in timed_lines] == [ln.rsplit(",", 1)[0] for ln in plain_lines]
 
+    def test_clean_spectrum_analysed_once_per_image(self, tmp_path, monkeypatch):
+        # At 64x64 every corpus pattern changes few enough bins to be re-tested
+        # against the clean spectrum, so tier 1 runs once per image, not per pattern.
+        d = tmp_path / "images"
+        d.mkdir()
+        for name, img in default_bench_images(64)[:2]:
+            (d / f"{name}.pgm").write_bytes(write_pgm(img))
+        calls = []
+        count_bound, detect = demoire.spectral._count_bound, demoire.cli.detect_peaks
+        monkeypatch.setattr(demoire.spectral, "_count_bound", lambda *a: calls.append(1) or count_bound(*a))
+        monkeypatch.setattr(demoire.cli, "detect_peaks", lambda spec, params, base=None: detect(spec, params))
+        full = tmp_path / "full.csv"
+        assert main(["bench", "--images", str(d), "--out", str(full)]) == 0
+        assert len(calls) == 2 * 6
+        monkeypatch.setattr(demoire.cli, "detect_peaks", detect)
+        calls.clear()
+        plain = tmp_path / "plain.csv"
+        assert main(["bench", "--images", str(d), "--out", str(plain)]) == 0
+        assert len(calls) == 2
+        assert plain.read_bytes() == full.read_bytes()
+
     def test_timing_flag_fills_runtime(self, tmp_path, image_dir):
         out = tmp_path / "bench.csv"
         rc = main(["bench", "--images", str(image_dir), "--out", str(out), "--methods", "notch", "--timing"])

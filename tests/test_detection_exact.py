@@ -14,8 +14,13 @@ planes too, completed as Hermitian in their self-mirror columns; detection
 sees the full plane of their mirrored magnitudes.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from demoire import (
@@ -28,13 +33,14 @@ from demoire import (
     Spectrum,
     detect_peaks,
     dft2d,
+    moire_spectrum,
     synthesize_moire,
 )
 from demoire import spectral
 from demoire.noise import default_noise_corpus
 from demoire.synth import default_bench_images, make_filtered_field
 
-from test_transform import centered_spectrum, full_plane, hermitian
+from test_transform import centered_spectrum, full_plane, hermitian, offgrid_specs
 
 
 def reference_background(mag):
@@ -283,3 +289,181 @@ def test_nms_ties_break_on_centered_labels():
     peaks = detect_peaks(spec, RepairParams())
     assert peaks == pairwise_detect(spec, RepairParams())
     assert [(p.u, p.v) for p in peaks] == [(30, 20), (30, 44), (34, 20), (34, 44)]
+
+
+# Detection against a base spectrum: ``detect_peaks(spec, params, base)`` must
+# equal ``detect_peaks(spec, params)`` on every input. The tier-1 count bound
+# runs once per full test, so the calls to it tell the paths apart: building
+# the analysis of a new base is one full test, and a spectrum the rule cannot
+# re-test takes one more.
+
+
+def detect_with_base(spec, params, base, monkeypatch):
+    """``detect_peaks(spec, params, base)``, required to equal the call without
+    ``base``, and the number of tier-1 passes the call with ``base`` made."""
+    calls = []
+    count_bound = spectral._count_bound
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_count_bound", lambda *a: calls.append(1) or count_bound(*a))
+        got = detect_peaks(spec, params, base)
+    assert got == detect_peaks(spec, params)
+    return got, len(calls)
+
+
+def edited(spec, edits):
+    """``spec`` with each half-plane bin (u, v) of ``edits`` set to its value. A bin
+    in a self-mirror column sets its mirror -u to the conjugate, and a bin that is
+    its own mirror keeps the real part, so the spectrum stays Hermitian."""
+    h, w = spec.shape
+    data = spec.data.copy()
+    for (u, v), value in edits.items():
+        data[u, v] = value
+        if v == 0 or 2 * v == w:
+            data[-u % h, v] = np.conj(value) if -u % h != u else complex(value).real
+    return Spectrum(data, w)
+
+
+def symmetric_plane(h, w, fill, bins):
+    """The Spectrum whose full plane in dft2d order is ``fill`` but for ``bins``, a
+    {(u, v): value} of real values, each set at (u, v) and at its mirror."""
+    full = np.full((h, w), fill, dtype=complex)
+    for (u, v), value in bins.items():
+        full[u, v] = full[-u % h, -v % w] = value
+    return centered_spectrum(np.fft.fftshift(full))
+
+
+@pytest.mark.parametrize("size", [256, 384, 512])
+def test_bench_corpus_with_clean_base(size, monkeypatch):
+    params = RepairParams()
+    for _, img in default_bench_images(size):
+        clean = dft2d(img)
+        passes = 0
+        for _, mspec in default_noise_corpus(size, size):
+            peaks, calls = detect_with_base(moire_spectrum(clean, mspec.components), params, clean, monkeypatch)
+            assert len(peaks) >= 2
+            passes += calls
+        assert passes == 1  # the clean spectrum's analysis; every pattern is re-tested
+
+
+@pytest.mark.parametrize("shape", [(240, 256), (257, 256), (256, 320)])
+def test_offgrid_moire_takes_the_full_test(shape, monkeypatch):
+    clean = dft2d(make_filtered_field(*shape, sigma=0.7, seed=sum(shape)))
+    for i, mspec in enumerate(offgrid_specs(*shape, count=3, seed=11)):
+        peaks, calls = detect_with_base(moire_spectrum(clean, mspec.components), RepairParams(), clean, monkeypatch)
+        assert len(peaks) >= 4
+        assert calls == (2 if i == 0 else 1)  # the closed form changes every bin
+
+
+@st.composite
+def sparse_edits(draw):
+    h, w = draw(st.sampled_from([(128, 128), (96, 97), (97, 96), (64, 64), (64, 63), (33, 40)]))
+    n = w // 2 + 1
+    edits = {}
+    for _ in range(draw(st.integers(1, 4))):
+        u, v = draw(st.integers(0, h - 1)), draw(st.integers(0, n - 1))
+        edits[u, v] = draw(st.sampled_from([0.0, 1 + 1e-9, 3.0, 40.0, 1e3])), draw(st.floats(0.0, 6.3))
+    return (h, w), edits, draw(st.integers(0, 2**16)), draw(st.sampled_from([10.0, 3.0, 1.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_edits())
+def test_sparse_edits_of_filtered_fields(case):
+    # No monkeypatch here: hypothesis runs the body many times per fixture.
+    (h, w), edits, seed, threshold = case
+    base = dft2d(make_filtered_field(h, w, sigma=1.2, seed=seed))
+    scale = np.median(base.magnitude)
+    spec = edited(base, {(u, v): base.data[u, v] * factor + scale * factor * np.exp(1j * phase)
+                         for (u, v), (factor, phase) in edits.items()})
+    params = RepairParams(detect_threshold=threshold)
+    assert detect_peaks(spec, params, base) == detect_peaks(spec, params)
+
+
+def test_zeroed_mirror_bins_let_a_bin_exceed(monkeypatch):
+    # The bin t = (16, 44) of a 96x96 plane of 100s holds 50. Its annulus holds
+    # 207 ones, in 23 whole 3x3 tiles, so its tier-1 bound is exactly 207 and
+    # it cannot exceed. Zeroing two more annulus bins makes 209 values low, so
+    # the median falls to 1 and t exceeds: only bound + k reaches 208. The two
+    # bins lie past column W/2, so the half plane stores their mirrors, 54 rows
+    # from t: only the mirrors of the changed bins reach t.
+    h = w = 96
+    tiles = [(a, b) for a in (0, 1) for b in range(7)] + [(a, b) for a in (2, 3) for b in (0, 1, 5, 6)] + [(4, 0)]
+    low = {(6 + 3 * a + i, 34 + 3 * b + j): 1.0 for a, b in tiles for i in range(3) for j in range(3)}
+    base = symmetric_plane(h, w, 100.0, {**low, (16, 44): 50.0})
+    spec = symmetric_plane(h, w, 100.0, {**low, (16, 44): 50.0, (26, 52): 0.0, (26, 53): 0.0})
+    assert np.argwhere(base.data != spec.data).tolist() == [[70, 43], [70, 44]]  # the half plane's changed bins
+    t = (16 + h // 2, 44 + w // 2)  # centered label
+    assert t not in {p[:2] for p in detect_peaks(base, RepairParams())}
+    peaks, calls = detect_with_base(spec, RepairParams(), base, monkeypatch)
+    assert t in {p[:2] for p in peaks}
+    assert calls == 1
+
+
+def test_new_largest_magnitude_moves_the_floor(monkeypatch):
+    # A bin of 1 over a floor of 1e-3 exceeds while the largest magnitude is
+    # 100, and falls below the floor once a bin of 1e10 appears.
+    base = symmetric_plane(64, 64, 1e-3, {(0, 0): 100.0, (20, 20): 1.0})
+    assert [p[:2] for p in detect_peaks(base, RepairParams())] == [(12, 12), (52, 52)]
+    spec = symmetric_plane(64, 64, 1e-3, {(0, 0): 100.0, (20, 20): 1.0, (5, 25): 1e10})
+    peaks, calls = detect_with_base(spec, RepairParams(), base, monkeypatch)
+    assert [p[:2] for p in peaks] == [(27, 7), (37, 57)]
+    assert calls == 2
+
+
+@pytest.mark.parametrize("threshold", [10.0, 3.0])
+def test_self_mirror_edits(threshold, monkeypatch):
+    # Rows and columns 0 and 64 hold bins that are their own mirrors or whose
+    # mirrors also lie in the half plane.
+    base = dft2d(make_filtered_field(128, 128, sigma=1.2, seed=21))
+    peak = 0.05 * base.magnitude.max()
+    spec = edited(base, {(20, 0): peak, (0, 30): peak, (64, 40): -peak, (30, 64): 1j * peak, (64, 64): peak})
+    peaks, calls = detect_with_base(spec, RepairParams(detect_threshold=threshold), base, monkeypatch)
+    # Centered labels of the edited bins and their mirrors.
+    assert {(84, 64), (44, 64), (64, 94), (64, 34), (0, 104), (94, 0), (0, 0)} <= {p[:2] for p in peaks}
+    assert calls == 1
+
+
+def test_edit_inside_the_dc_guard(monkeypatch):
+    base = dft2d(make_filtered_field(128, 128, sigma=1.2, seed=22))
+    spec = edited(base, {(2, 3): 20 * base.data[2, 3]})
+    assert spec.magnitude.max() == base.magnitude.max()
+    assert detect_with_base(spec, RepairParams(detect_threshold=1.5), base, monkeypatch)[1] == 1
+
+
+def test_dense_noise_takes_the_full_test(monkeypatch):
+    base = dft2d(make_filtered_field(128, 128, sigma=1.2, seed=23))
+    noise = np.random.default_rng(23).standard_normal(base.data.shape) * np.median(base.magnitude) * 1e-3
+    noise[0, 0] = 0.0  # DC stays the largest magnitude: the cost alone decides
+    spec = Spectrum(hermitian(base.data + noise, 128), 128)
+    assert spec.magnitude.max() == base.magnitude.max()
+    for threshold in (10.0, 1.5):
+        assert detect_with_base(spec, RepairParams(detect_threshold=threshold), base, monkeypatch)[1] == 2
+
+
+def test_base_is_spec_and_unrelated_base(monkeypatch):
+    spec = dft2d(synthesize_moire(make_filtered_field(96, 97, sigma=1.2, seed=24),
+                                  MoireSpec((MoireComponent(20.0, 20 / 96, 15 / 97, 0.3),))))
+    peaks, calls = detect_with_base(spec, RepairParams(), spec, monkeypatch)
+    assert len(peaks) == 2 and calls == 1
+    other = dft2d(make_filtered_field(96, 97, sigma=1.2, seed=25))
+    assert detect_with_base(spec, RepairParams(), other, monkeypatch)[1] == 2
+
+
+def test_base_of_another_shape_is_rejected():
+    spec = dft2d(make_filtered_field(64, 64, sigma=1.2, seed=26))
+    with pytest.raises(ValueError, match="base spectrum is 64x63, not 64x64"):
+        detect_peaks(spec, RepairParams(), dft2d(make_filtered_field(64, 63, sigma=1.2, seed=26)))
+
+
+def test_analysis_lives_as_long_as_its_base():
+    gc.collect()
+    kept = len(spectral._ANALYSES)
+    base = dft2d(make_filtered_field(64, 64, sigma=1.2, seed=27))
+    detect_peaks(base, RepairParams(), base)
+    detect_peaks(base, RepairParams(detect_threshold=3.0), base)
+    assert len(spectral._ANALYSES) == kept + 1
+    assert len(spectral._ANALYSES[base]) == 2  # one per (threshold, guard)
+    alive = weakref.ref(base)
+    del base
+    gc.collect()
+    assert alive() is None
+    assert len(spectral._ANALYSES) == kept
