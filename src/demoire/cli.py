@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import GrayImage, QualityReport, psnr, read_pgm, write_pgm
+from .core import GrayImage, PgmError, QualityReport, psnr, read_pgm, write_pgm
 from .noise import (
     add_gaussian,
     add_salt_pepper,
@@ -146,8 +146,16 @@ def _write_float_matrix(path: str, img: GrayImage) -> None:
     Path(path).write_text("\n".join(rows) + "\n")
 
 
+def _read_image(path: str | Path) -> GrayImage:
+    """Decode the PGM file at path; a malformed one raises PgmError naming it."""
+    try:
+        return read_pgm(Path(path).read_bytes())
+    except PgmError as exc:
+        raise PgmError(f"{path}: {exc}") from exc
+
+
 def cmd_add_noise(args) -> int:
-    img = read_pgm(Path(args.input).read_bytes())
+    img = _read_image(args.input)
     if args.noise_spec is not None:
         spec = parse_moire_csv(Path(args.noise_spec).read_text())
         noisy = synthesize_moire(img, spec)
@@ -176,7 +184,7 @@ def cmd_denoise(args) -> int:
     if args.dump_peaks and not method.spectral:
         spectral = ", ".join(m for m in ALL_METHODS if METHODS[m].spectral)
         args.parser.error(f"--dump-peaks requires a spectral method ({spectral})")
-    img = read_pgm(Path(args.input).read_bytes())
+    img = _read_image(args.input)
     func, params = globals()[method.func], _params(method, args)
     spec = None
     if method.spectral:
@@ -196,8 +204,8 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_psnr(args) -> int:
-    ref = read_pgm(Path(args.ref).read_bytes())
-    test = read_pgm(Path(args.test).read_bytes())
+    ref = _read_image(args.ref)
+    test = _read_image(args.test)
     report = psnr(ref, test)
     print(f"psnr_db={report.psnr_label()}")
     return 0
@@ -228,29 +236,32 @@ def cmd_bench(args) -> int:
     spatial = not all(METHODS[m].spectral for m in names)
     rows = []
     for path in files:
-        clean = read_pgm(path.read_bytes())
-        clean_spec = dft2d(clean)
-        params = RepairParams()
-        for noise_id, mspec in default_noise_corpus(clean.height, clean.width):
-            started = time.perf_counter()
-            spec = moire_spectrum(clean_spec, mspec.components)  # the clean spectrum plus the moire's
-            peaks = detect_peaks(spec, params, clean_spec) if spectral else None  # tests only what the moire changed
-            analysis_s = time.perf_counter() - started
-            base = QualityReport.from_mse(spectral_mse(clean_spec, spec))
-            noisy = synthesize_moire(clean, mspec) if spatial else None  # a spatial row filters the image
-            for name in names:
-                method = METHODS[name]
-                # A spectral row's clock includes the analysis its method shares.
-                started = time.perf_counter() - (analysis_s if method.spectral else 0.0)
-                func = globals()[method.func]
-                if method.spectral:
-                    # Scored by Parseval from the repaired spectrum: bench writes no image to invert.
-                    err = spectral_mse(clean_spec, func(spec, peaks, params))
-                else:
-                    denoised = func(noisy, _params(method))
-                runtime_ms = (time.perf_counter() - started) * 1000.0 if args.timing else 0.0
-                report = QualityReport.from_mse(err) if method.spectral else psnr(clean, denoised)
-                rows.append((path.stem, noise_id, name, base, report, runtime_ms))
+        clean = _read_image(path)
+        try:  # a failing case names its image, once
+            clean_spec = dft2d(clean)
+            params = RepairParams()
+            for noise_id, mspec in default_noise_corpus(clean.height, clean.width):
+                started = time.perf_counter()
+                spec = moire_spectrum(clean_spec, mspec.components)  # the clean spectrum plus the moire's
+                peaks = detect_peaks(spec, params, clean_spec) if spectral else None  # tests what the moire changed
+                analysis_s = time.perf_counter() - started
+                base = QualityReport.from_mse(spectral_mse(clean_spec, spec))
+                noisy = synthesize_moire(clean, mspec) if spatial else None  # a spatial row filters the image
+                for name in names:
+                    method = METHODS[name]
+                    # A spectral row's clock includes the analysis its method shares.
+                    started = time.perf_counter() - (analysis_s if method.spectral else 0.0)
+                    func = globals()[method.func]
+                    if method.spectral:
+                        # Scored by Parseval from the repaired spectrum: bench writes no image to invert.
+                        err = spectral_mse(clean_spec, func(spec, peaks, params))
+                    else:
+                        denoised = func(noisy, _params(method))
+                    runtime_ms = (time.perf_counter() - started) * 1000.0 if args.timing else 0.0
+                    report = QualityReport.from_mse(err) if method.spectral else psnr(clean, denoised)
+                    rows.append((path.stem, noise_id, name, base, report, runtime_ms))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = ["image,noise,method,psnr_noisy,psnr_denoised,runtime_ms"]

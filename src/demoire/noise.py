@@ -128,12 +128,17 @@ def default_noise_corpus(height: int, width: int) -> list[tuple[str, MoireSpec]]
     Three (amplitude, frequency) pairings spanning weak/strong and
     axis-aligned/oblique interference, each at phases 0 and pi/3. Bins are given
     for a 256-pixel side and scale with the shorter side, outside the DC guard.
+    The image needs at least 24 rows and 22 columns, so that each bin stays
+    within Nyquist; a smaller one raises ValueError.
     """
     bases = [
         (10.0, 8, 6),
         (20.0, 12, 0),
         (40.0, 5, 11),
     ]
+    min_h, min_w = (2 * max(b[axis] for b in bases) for axis in (1, 2))
+    if height < min_h or width < min_w:
+        raise ValueError(f"the benchmark corpus needs at least {min_h} rows and {min_w} columns, got {height}x{width}")
     scale = max(1, round(min(height, width) / 256))
     corpus = []
     for amp, bu, bv in bases:

@@ -683,6 +683,27 @@ class TestPsnr:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_file_named(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.pgm", tmp_path / "bad.pgm"
+        write_image(good, np.zeros((32, 32)))
+        bad.write_bytes(good.read_bytes()[:-1014])
+        rc = main(["psnr", "--ref", str(good), "--test", str(bad)])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {bad}: truncated PGM payload: expected 1024 pixel bytes, found 10"
+        assert "good.pgm" not in line
+
+
+def donor_starved_pixels(size=32):
+    """Texture under a 3x3 lattice of strong sinusoids: the moire's repair
+    disks find too few uncontaminated donors among the lattice's peaks."""
+    rows, cols = np.mgrid[0:size, 0:size] / size
+    img = 128.0 + np.random.default_rng(0).normal(0.0, 2.0, (size, size))
+    for du in range(0, 6, 2):
+        for dv in range(0, 6, 2):
+            img += 30.0 * np.cos(2.0 * np.pi * ((6 + du) * rows + (6 + dv) * cols))
+    return np.clip(img, 0.0, 255.0)
+
 
 class TestBench:
     @pytest.fixture
@@ -736,6 +757,25 @@ class TestBench:
         rc = main(["bench", "--images", str(empty), "--out", str(tmp_path / "b.csv")])
         assert rc == 1
         assert "no PGM images" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("write", "problem"),
+        [
+            (lambda p: p.write_bytes(write_pgm(GrayImage(np.zeros((32, 32))))[:-1014]), "truncated PGM payload"),
+            (lambda p: write_image(p, np.full((20, 20), 128.0)), "at least 24 rows and 22 columns, got 20x20"),
+            (lambda p: write_image(p, donor_starved_pixels()), "uncontaminated donor bins"),
+        ],
+        ids=["truncated", "20x20", "donor-starved"],
+    )
+    def test_failing_image_named_once(self, tmp_path, image_dir, capsys, write, problem):
+        bad = image_dir / "zz-bad.pgm"  # sorts last: the good images' rows are built first
+        write(bad)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--images", str(image_dir), "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {bad}: ") and problem in line
+        assert line.count("zz-bad") == 1 and "tex128" not in line and "tex200" not in line
+        assert not out.exists()
 
     def test_unknown_method_usage_error(self, tmp_path, image_dir):
         with pytest.raises(SystemExit) as err:

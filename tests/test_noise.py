@@ -231,6 +231,17 @@ class TestDefaultCorpus:
             assert u * u + v * v > guard * guard, name
             assert max(abs(c.freq_u), abs(c.freq_v)) < 0.5, name
 
+    @pytest.mark.parametrize("shape", [(23, 22), (24, 21)])
+    def test_below_minimum_size_names_size_and_minimum(self, shape):
+        # Bins 12 (rows) and 11 (columns) reach Nyquist at 24 rows and 22 columns.
+        with pytest.raises(ValueError, match=rf"at least 24 rows and 22 columns, got {shape[0]}x{shape[1]}$"):
+            default_noise_corpus(*shape)
+
+    def test_minimum_size_builds_the_corpus(self):
+        assert [name for name, _ in default_noise_corpus(24, 22)] == [
+            name for name, _ in default_noise_corpus(256, 256)
+        ]
+
     def test_bins_scale_with_shorter_side(self):
         # Up to 383 pixels the base bins are kept, so 256x256 keeps its bytes;
         # from 384 they scale by round(min(H, W) / 256).
