@@ -159,13 +159,11 @@ def cmd_add_noise(args) -> int:
     if args.noise_spec is not None:
         spec = parse_moire_csv(Path(args.noise_spec).read_text())
         noisy = synthesize_moire(img, spec)
+    elif args.seed is None:
+        args.parser.error(f"--seed is required with --{'gaussian' if args.gaussian is not None else 'salt-pepper'}")
     elif args.gaussian is not None:
-        if args.seed is None:
-            args.parser.error("--seed is required with --gaussian")
         noisy = add_gaussian(img, args.gaussian, args.seed)
     else:
-        if args.seed is None:
-            args.parser.error("--seed is required with --salt-pepper")
         noisy = add_salt_pepper(img, args.salt_pepper, args.seed)
     if args.out_float:
         _write_float_matrix(args.out_float, noisy)
@@ -186,9 +184,8 @@ def cmd_denoise(args) -> int:
         args.parser.error(f"--dump-peaks requires a spectral method ({spectral})")
     img = _read_image(args.input)
     func, params = globals()[method.func], _params(method, args)
-    spec = None
+    spec = dft2d(img) if method.spectral or args.dump_spectrum else None
     if method.spectral:
-        spec = dft2d(img)
         peaks = detect_peaks(spec, params)
         denoised = idft2d(func(spec, peaks, params))
         if args.dump_peaks:
@@ -196,8 +193,6 @@ def cmd_denoise(args) -> int:
     else:
         denoised = func(img, params)
     if args.dump_spectrum:
-        if spec is None:
-            spec = dft2d(img)
         Path(args.dump_spectrum).write_bytes(write_pgm(log_magnitude(spec)))
     Path(args.output).write_bytes(write_pgm(denoised))
     return 0
@@ -286,3 +281,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

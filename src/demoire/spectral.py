@@ -394,8 +394,6 @@ def detect_peaks(spec: Spectrum, params: RepairParams, base: Spectrum | None = N
         exceeds = _exceeds_background(mag, eligible, threshold)
     # Flat indices: np.nonzero walks a 2-D mask element by element.
     u, v = np.divmod(np.flatnonzero(exceeds), w)
-    if u.size == 0:
-        return PeakSet(())
 
     # Greedy non-maximum suppression, strongest first; ties break on the
     # centered labels. A candidate is kept iff no kept peak's repair disk
@@ -425,15 +423,13 @@ def notch_reject(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spectr
     return _owned_spectrum(data, w)
 
 
-def _donor_median(
-    mag: np.ndarray, mask: np.ndarray, u: np.ndarray, v: np.ndarray, window: int, estimated: np.ndarray
-) -> np.ndarray:
-    """Median of the uncontaminated magnitudes in each ``estimated`` bin's window x window.
+def _donor_median(mag: np.ndarray, mask: np.ndarray, u: np.ndarray, v: np.ndarray, window: int) -> np.ndarray:
+    """Median of the uncontaminated magnitudes in each bin's window x window.
 
-    Donors are counted for every bin, so a shortage names the first bin even
-    if it is not estimated. Contaminated donors sort last as +inf, so each
-    row's median is read at its own donor count: the middle value, or
-    fl(a + b) / 2 of the two middle values, exactly as ``np.median`` does.
+    A shortage names the first starving bin. Contaminated donors sort last
+    as +inf, so each row's median is read at its own donor count: the middle
+    value, or fl(a + b) / 2 of the two middle values, exactly as
+    ``np.median`` does.
     """
     h, w = mag.shape
     offsets = np.arange(-(window // 2), window // 2 + 1)
@@ -448,13 +444,11 @@ def _donor_median(
             f"only {counts[k]} uncontaminated donor bins around spectrum bin "
             f"({_centered(u[k], h)}, {_centered(v[k], w)}); increase window above {window}"
         )
-    rows, cols, poisoned, counts = rows[estimated], cols[estimated], poisoned[estimated], counts[estimated]
-    donors = np.where(poisoned, np.inf, mag[rows, cols].reshape(len(counts), -1))
+    donors = np.where(poisoned, np.inf, mag[rows, cols].reshape(len(u), -1))
     donors.sort(axis=1)
-    at = np.arange(len(counts))
-    upper = donors[at, counts // 2]
-    lower = donors[at, (counts - 1) // 2]
-    return np.where(counts % 2 == 1, upper, (lower + upper) / 2)
+    at = np.arange(len(u))
+    a, b = donors[at, (counts - 1) // 2], donors[at, counts // 2]
+    return np.where(counts % 2 == 1, b, (a + b) / 2)
 
 
 def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spectrum:
@@ -465,17 +459,15 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     its window x window neighborhood, excluding every contaminated bin (the
     impulse never feeds its own estimate). The bin's phase is kept: away from
     the impulse carrier it belongs to the image content this repair exists to
-    preserve, which is what lets the method beat zeroing. Only half-plane bins
-    are re-estimated; a mirror outside it would get the conjugate estimate,
-    as mask and donor windows are point-symmetric. The self-mirror columns
-    hold both bins of a pair, and there only the upper rows are estimated:
-    each lower row is set to the conjugate of its mirror's estimate, as the
-    Spectrum construction would set it. Bins outside all repair disks are
+    preserve, which is what lets the method beat zeroing. Every contaminated
+    half-plane bin is estimated, both bins of a pair in the self-mirror
+    columns too. The estimates of a pair come out conjugate: mask, magnitude
+    plane and donor windows are point-symmetric, so both bins sort the same
+    donors, and their phases are conjugate (the Spectrum construction then
+    sets the pair conjugate exactly). Bins outside all repair disks are
     returned bit-identical.
     """
     h, w = spec.shape
-    if len(peaks) == 0:
-        return spec
     mask = _contamination_mask(h, w, peaks, params.repair_radius)
     src = spec.data
     mag = spec.magnitude
@@ -485,20 +477,16 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     rows, cols = np.divmod(np.flatnonzero(mask[:, : w // 2 + 1]), w // 2 + 1)
     order = np.lexsort((_centered(cols, w), _centered(rows, h)))
     rows, cols = rows[order], cols[order]
-    lower = (rows > h // 2) & ((cols == 0) | (2 * cols == w))  # lower rows of the self-mirror columns
     chunk = max(1, _GATHER_LIMIT // (params.window * params.window))
     for i0 in range(0, rows.size, chunk):
-        u, v, estimated = rows[i0 : i0 + chunk], cols[i0 : i0 + chunk], ~lower[i0 : i0 + chunk]
-        estimate = _donor_median(mag, mask, u, v, params.window, estimated)
-        u, v = u[estimated], v[estimated]
+        u, v = rows[i0 : i0 + chunk], cols[i0 : i0 + chunk]
+        estimate = _donor_median(mag, mask, u, v, params.window)
         value = src[u, v]
         # The phase is normalized by hypot: numpy's vectorized complex abs
         # (used for the donor magnitudes) can differ from it in the last bit.
         scale = np.hypot(value.real, value.imag)
         unit = np.divide(value, scale, out=np.ones_like(value), where=scale > 0.0)
         repaired[u, v] = estimate * unit
-    u, v = rows[lower], cols[lower]
-    repaired[u, v] = repaired[-u % h, v].conj()
     return _owned_spectrum(repaired, w)
 
 

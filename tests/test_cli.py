@@ -101,6 +101,15 @@ class TestAddNoise:
             main(["add-noise", "--in", str(constant_image), "--out", str(tmp_path / "x.pgm"), "--gaussian", "5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--gaussian", "5"), ("--salt-pepper", "0.1")])
+    def test_random_noise_without_seed_names_its_flag(self, tmp_path, constant_image, capsys, flag, value):
+        out = tmp_path / "x.pgm"
+        with pytest.raises(SystemExit) as err:
+            main(["add-noise", "--in", str(constant_image), "--out", str(out), flag, value])
+        assert err.value.code == 2
+        assert f"--seed is required with {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_byte_identical(self, tmp_path, constant_image):
         out1, out2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
         for out in (out1, out2):

@@ -336,14 +336,16 @@ class TestSpectralMedianReference:
         got = centered_full_plane(spectral_median(spec, peaks, params))
         assert np.array_equal(got, loop_spectral_median(centered_full_plane(spec), peaks, params))
 
-    @pytest.mark.parametrize("w", [32, 33])
-    def test_matches_per_bin_loop_in_self_mirror_columns(self, w):
+    @pytest.mark.parametrize(
+        "h,w", [pytest.param(32, 32, id="32"), pytest.param(32, 33, id="33"), (33, 32), (33, 33)]
+    )
+    def test_matches_per_bin_loop_in_self_mirror_columns(self, h, w):
         # The self-mirror columns (v = 0, and v = W/2 for even W) hold both
         # bins of a pair; the repaired pair must stay conjugate, as the
-        # loop's pair-average makes it.
-        spec = dft2d(make_filtered_field(32, w, sigma=1.2, seed=w))
+        # loop's pair-average makes it. Odd H has no self-mirror row at H/2.
+        spec = dft2d(make_filtered_field(h, w, sigma=1.2, seed=w))
         # Peaks in centered column W//2 (v = 0), column 0 (v = W/2 for even W) and off them.
-        peaks = paired_peaks(32, w, [(4, 0), (3, -(w // 2)), (6, 5)])
+        peaks = paired_peaks(h, w, [(4, 0), (3, -(w // 2)), (6, 5)])
         params = RepairParams(window=5, repair_radius=2)
         got = centered_full_plane(spectral_median(spec, peaks, params))
         assert np.array_equal(got, loop_spectral_median(centered_full_plane(spec), peaks, params))
@@ -358,8 +360,8 @@ class TestSpectralMedianReference:
 
     def test_starvation_names_unestimated_lower_row(self):
         # Centered (9, 0) of a 33x32 plane is dft2d bin (26, 16): a lower row
-        # of the self-mirror column v = W/2, which is set from its mirror and
-        # not estimated. Its donors still count, so it is named first.
+        # of the self-mirror column v = W/2, estimated like every half-plane
+        # bin. It is the first bin short of donors, so it is named.
         spec = dft2d(GrayImage(np.full((33, 32), 50.0)))
         peaks = paired_peaks(33, 32, [(du, 16) for du in range(2, 9)])
         expected = r"^only 2 uncontaminated donor bins around spectrum bin \(9, 0\); increase window above 5$"
