@@ -10,9 +10,15 @@ spectrum keeps the magnitude plane its detection built, so the timed median
 repair reads it as a ``denoise`` run does. Each set also reports the mean
 peaks and repaired half-plane bins per case.
 
+The radius set times ``detect_peaks`` plus ``notch_reject`` on the first
+bench case at repair radii 3, 46 and 2000, each with window 2r + 1, which
+every tree accepts. Non-maximum suppression and the notch both stamp repair
+disks, and every bin of a 256x256 plane lies within 182 bins of every other,
+so radius 2000 stamps no more bins than 182 does.
+
     python benchmarks/repair.py                        # time ./src, print only
-    python benchmarks/repair.py --src OTHER/src --label parent --json BENCH_28.json
-    python benchmarks/repair.py --label change --json BENCH_28.json
+    python benchmarks/repair.py --src OTHER/src --label parent --json BENCH_29.json
+    python benchmarks/repair.py --label change --json BENCH_29.json
 
 The options are those of ``benchmarks/harness.py``.
 """
@@ -27,6 +33,10 @@ import harness
 import numpy as np
 
 REPEATS = 20  # timed passes over each set, after one untimed pass
+RADII = (3, 46, 2000)
+# Timed calls per radius, after one untimed call: few, as a tree that builds the
+# whole radius-2000 disk takes ~1.3 s per call.
+RADIUS_REPEATS = 5
 
 
 def repaired_bins(demoire, spec, peaks, params) -> int:
@@ -47,6 +57,16 @@ def time_repair(repair, cases, params) -> dict:
     return harness.quartiles_ms(samples)
 
 
+def time_radii(demoire, spec) -> dict:
+    result = {}
+    for radius in RADII:
+        params = demoire.RepairParams(repair_radius=radius, window=2 * radius + 1)
+        result[f"radius {radius}"] = harness.time_calls(
+            lambda: demoire.notch_reject(spec, demoire.detect_peaks(spec, params), params), RADIUS_REPEATS
+        )
+    return result
+
+
 def main(argv=None) -> int:
     args = harness.parse_args(__doc__, argv)
     import demoire
@@ -64,11 +84,14 @@ def main(argv=None) -> int:
             "peaks_per_case": float(np.mean([len(peaks) for _, peaks in cases])),
             "bins_per_case": float(np.mean([repaired_bins(demoire, *case, params) for case in cases])),
         }
+    radii = time_radii(demoire, sets["bench 256x256"][0])
     for name, r in result.items():
         for op in ("notch_reject", "spectral_median"):
             print(harness.describe(args.label, f"{name}: {op}", r[op]))
         print(f"{args.label}: {name}: {r['peaks_per_case']:.1f} peaks, {r['bins_per_case']:.1f} repaired bins per case")
-    harness.save(args, result)
+    for name, t in radii.items():
+        print(harness.describe(args.label, f"bench 256x256 case 0: detect_peaks + notch_reject, {name}", t))
+    harness.save(args, {**result, "bench 256x256 case 0 detect_peaks + notch_reject": radii})
     return 0
 
 

@@ -90,8 +90,10 @@ class PeakSet:
 class RepairParams:
     """Detection and repair geometry.
 
-    ``repair_radius``  disk (in bins) re-estimated around each peak
-    ``window``         odd side of the donor window for the median repair
+    ``repair_radius``  disk (in bins) re-estimated around each peak; a radius
+                       past the covering one acts as it (see ``_stamp_disks``)
+    ``window``         odd side of the median repair's donor window; the median raises
+                       for a bin with fewer than MIN_DONORS donors, the notch ignores it
     ``guard_dc_radius``  bins around DC excluded from detection;
                          None resolves to max(8, ceil(0.02 * min(H, W)))
     ``detect_threshold`` multiple of the local background magnitude a bin
@@ -112,19 +114,6 @@ class RepairParams:
             raise ValueError(f"guard_dc_radius must be >= 0, got {self.guard_dc_radius}")
         if not self.detect_threshold > 1.0:
             raise ValueError(f"detect_threshold must exceed 1, got {self.detect_threshold}")
-        # Worst case: the window centered on a peak. The median needs support
-        # even after the whole repair disk is excluded from the donors. Window
-        # row du holds the disk bins with dv^2 <= r^2 - du^2, fewer toward the
-        # edge, and a row with any donor has at least two, so the outer
-        # MIN_DONORS + 1 rows hold enough donors or all of them.
-        k, r = self.window // 2, self.repair_radius
-        rows = {s * du for du in range(max(0, k - MIN_DONORS), k + 1) for s in (1, -1)}
-        disk = sum(2 * min(k, math.isqrt(r * r - du * du)) + 1 for du in rows if du * du <= r * r)
-        if len(rows) * self.window - disk < MIN_DONORS:
-            raise ValueError(
-                f"window {self.window} leaves fewer than {MIN_DONORS} donor bins outside "
-                f"a repair disk of radius {self.repair_radius}; increase window"
-            )
 
     def resolved_guard(self, height: int, width: int) -> int:
         if self.guard_dc_radius is not None:
@@ -146,9 +135,11 @@ def _centered(k, n: int):
     return (k + n // 2) % n
 
 
-def _stamp_disks(mask: np.ndarray, u, v, disk: np.ndarray) -> None:
-    """Set the bins at the ``disk`` offsets around each (u, v), wrapping periodically."""
+def _stamp_disks(mask: np.ndarray, u, v, radius: int) -> None:
+    """Set the bins within ``radius`` of each (u, v), wrapping periodically. Every bin is within
+    hypot(H//2, W//2) of every other, so the disk stops at the covering radius just past that."""
     h, w = mask.shape
+    disk = _disk_offsets(min(radius, math.isqrt((h // 2) ** 2 + (w // 2) ** 2) + 1))
     mask[(np.reshape(u, (-1, 1)) + disk[:, 0]) % h, (np.reshape(v, (-1, 1)) + disk[:, 1]) % w] = True
 
 
@@ -157,7 +148,7 @@ def _contamination_mask(h: int, w: int, peaks: PeakSet, radius: int) -> np.ndarr
     labels = np.array([(p.u, p.v) for p in peaks], dtype=np.intp).reshape(-1, 2)
     u, v = labels[:, 0] - h // 2, labels[:, 1] - w // 2
     mask = np.zeros((h, w), dtype=bool)
-    _stamp_disks(mask, np.concatenate([u, -u]), np.concatenate([v, -v]), _disk_offsets(radius))
+    _stamp_disks(mask, np.concatenate([u, -u]), np.concatenate([v, -v]), radius)
     return mask
 
 
@@ -399,13 +390,12 @@ def detect_peaks(spec: Spectrum, params: RepairParams, base: Spectrum | None = N
     # centered labels. A candidate is kept iff no kept peak's repair disk
     # covers it: the disk is symmetric, so that is the toroidal distance test.
     order = np.lexsort((_centered(v, w), _centered(u, h), -mag[u, v]))
-    disk = _disk_offsets(params.repair_radius)
     blocked = np.zeros((h, w), dtype=bool)
     kept = []
     for i in order.tolist():
         if not blocked[u[i], v[i]]:
             kept.append(i)
-            _stamp_disks(blocked, u[i], v[i], disk)
+            _stamp_disks(blocked, u[i], v[i], params.repair_radius)
 
     # The Hermitian mirror of bin k is -k.
     rows = np.concatenate([u[kept], -u[kept] % h]).tolist()

@@ -1,6 +1,9 @@
 import importlib.util
+import math
+import re
 import shutil
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -392,15 +395,14 @@ class TestHostileInput:
         assert not out.exists()
 
     # Each radius asks for more than a 64-bit address space holds, so numpy
-    # refuses the allocation before it touches any memory. The notch window
-    # is wide enough to leave donors outside the disk, so validation passes.
+    # refuses the allocation before it touches any memory.
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--method", "notch", "--repair-radius", "100000000", "--window", "300000001"],
             ["--method", "nlm", "--search-radius", "10000000"],
             ["--method", "bilateral", "--sigma-s", "1e7"],
         ],
+        ids=["flags1", "flags2"],  # stable ids, so test reports keep naming each row the same
     )
     def test_huge_radius_exit_1_with_one_error_line(self, flags, constant_image, tmp_path, capsys):
         out = tmp_path / "out.pgm"
@@ -439,6 +441,49 @@ def test_spatial_denoise_bytes_match_reference_loops(tmp_path, moire_bench_input
         out = tmp_path / f"{src.stem}-{method}.pgm"
         assert main(["denoise", "--in", str(src), "--out", str(out), "--method", method]) == 0
         assert out.read_bytes() == write_pgm(GrayImage(reference(read_pgm(src.read_bytes()))))
+
+
+class TestDonorRule:
+    """Only the median repair takes donors, and it counts them per bin; any radius builds at most the covering disk."""
+
+    def test_notch_takes_no_donors(self, tmp_path, moire_bench_inputs):
+        out = tmp_path / "out.pgm"
+        assert main(["denoise", "--in", str(moire_bench_inputs[0]), "--out", str(out), "--method", "notch",
+                     "--repair-radius", "5"]) == 0
+        assert read_pgm(out.read_bytes()).shape == (256, 256)
+
+    def test_starving_median_names_its_bin(self, tmp_path, moire_bench_inputs, capsys):
+        out = tmp_path / "out.pgm"
+        assert main(["denoise", "--in", str(moire_bench_inputs[0]), "--out", str(out), "--method",
+                     "spectral-median", "--repair-radius", "5"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        expected = r"^error: only \d+ uncontaminated donor bins around spectrum bin \(\d+, \d+\); increase window above 9$"
+        assert len(err) == 1 and re.match(expected, err[0])
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_median_without_peaks_needs_no_donors(self, tmp_path):
+        src, out, peaks_csv = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "peaks.csv"
+        write_image(src, make_filtered_field(64, 64, sigma=0.7, seed=0).pixels)
+        assert main(["denoise", "--in", str(src), "--out", str(out), "--method", "spectral-median",
+                     "--repair-radius", "5", "--dump-peaks", str(peaks_csv)]) == 0
+        assert peaks_csv.read_text() == "u,v,magnitude\n"
+        assert out.read_bytes() == write_pgm(read_pgm(src.read_bytes()))
+
+    def test_huge_notch_radius_gives_the_covering_radius_bytes(self, tmp_path, moire_bench_inputs):
+        src = str(moire_bench_inputs[0])
+        cap = math.isqrt(128**2 + 128**2) + 1
+        capped, huge = tmp_path / "capped.pgm", tmp_path / "huge.pgm"
+        tracemalloc.start()
+        try:
+            code = main(["denoise", "--in", src, "--out", str(huge), "--method", "notch", "--repair-radius", "100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 64 * 2**20
+        assert main(["denoise", "--in", src, "--out", str(capped), "--method", "notch", "--repair-radius", str(cap)]) == 0
+        assert huge.read_bytes() == capped.read_bytes()
 
 
 @pytest.fixture(scope="module")

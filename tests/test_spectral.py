@@ -1,4 +1,4 @@
-import time
+import math
 
 import numpy as np
 import pytest
@@ -42,6 +42,13 @@ def paired_peaks(h, w, offsets, mag=1.0):
     return PeakSet(tuple(Peak(u, v, mag) for u, v in sorted(bins)))
 
 
+def uncapped_disk(radius):
+    """(du, dv) rows, row-major, of every offset within ``radius``, from the full square of offsets."""
+    du, dv = np.indices((2 * radius + 1, 2 * radius + 1)).reshape(2, -1) - radius
+    inside = du * du + dv * dv <= radius * radius
+    return np.stack([du[inside], dv[inside]], axis=1)
+
+
 class TestRepairParams:
     def test_defaults(self):
         p = RepairParams()
@@ -56,24 +63,6 @@ class TestRepairParams:
         with pytest.raises(ValueError, match="odd"):
             RepairParams(window=8)
 
-    def test_rejects_window_without_donor_support(self):
-        with pytest.raises(ValueError, match="donor"):
-            RepairParams(window=3, repair_radius=3)
-
-    @pytest.mark.parametrize("window", range(3, 16, 2))
-    def test_disk_count_matches_offset_loop(self, monkeypatch, window):
-        # The count the check uses is pinned by moving MIN_DONORS to either
-        # side of the spare donors the old loop over every disk offset counts.
-        for radius in range(1, 31):
-            disk = spectral._disk_offsets(radius)
-            inside = sum(1 for du, dv in disk if abs(du) <= window // 2 and abs(dv) <= window // 2)
-            spare = window * window - inside
-            monkeypatch.setattr(spectral, "MIN_DONORS", spare)
-            RepairParams(repair_radius=radius, window=window)
-            monkeypatch.setattr(spectral, "MIN_DONORS", spare + 1)
-            with pytest.raises(ValueError, match=f"fewer than {spare + 1} donor bins"):
-                RepairParams(repair_radius=radius, window=window)
-
     def test_disk_offsets_cached_read_only(self):
         # NMS and both repairs share one array per radius, so none may write to it.
         for radius in range(1, 21):
@@ -85,11 +74,23 @@ class TestRepairParams:
             with pytest.raises(ValueError, match="read-only"):
                 disk[0, 0] = 0
 
-    def test_huge_radius_rejected_fast(self):
-        started = time.perf_counter()
-        with pytest.raises(ValueError, match="donor bins outside a repair disk of radius 1000"):
-            RepairParams(repair_radius=1000)
-        assert time.perf_counter() - started < 0.1
+    @pytest.mark.parametrize("shape", [(16, 16), (17, 16), (16, 17), (33, 40), (64, 63)])
+    def test_capped_disk_stamps_the_uncapped_bins(self, shape):
+        # Past the covering radius every bin is stamped, so capping the disk there changes no bin.
+        # The reference of 10**8 is the disk of cap + 3, which already holds every bin.
+        h, w = shape
+        cap = math.isqrt((h // 2) ** 2 + (w // 2) ** 2) + 1
+        u, v = np.array([0, 3, h // 2, h - 1]), np.array([0, w // 2, 5, w - 1])
+        for radius in [*range(1, cap + 4), 10**8]:
+            disk = uncapped_disk(min(radius, cap + 3))
+            # The repairs stamp arrays of bins; NMS stamps one scalar bin at a time.
+            for bu, bv in ((u, v), (u[1], v[1])):
+                want = np.zeros(shape, dtype=bool)
+                want[(np.reshape(bu, (-1, 1)) + disk[:, 0]) % h, (np.reshape(bv, (-1, 1)) + disk[:, 1]) % w] = True
+                got = np.zeros(shape, dtype=bool)
+                spectral._stamp_disks(got, bu, bv, radius)
+                assert np.array_equal(got, want), (radius, bu, bv)
+        assert want.all()
 
     def test_rejects_low_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
