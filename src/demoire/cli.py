@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime/data failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -42,30 +43,25 @@ from .transform import center_shift  # noqa: F401
 from .transform import dft2d, idft2d, log_magnitude, moire_spectrum, spectral_mse
 
 
-def _flags(*same: str, **renamed: str) -> dict[str, str]:
-    return {**{name: name for name in same}, **renamed}
-
-
 class Method(NamedTuple):
     func: str  # library function, looked up in this module per call: a repair or a filter
-    params: type  # its *Params class
-    flags: dict[str, str]  # argparse dest -> params field; an unset flag keeps the default
+    params: type  # its *Params class; each field is read from the denoise flag whose dest is its name
+    renamed: dict[str, str] = {}  # params field -> dest where another method holds the name; never mutated
 
     @property
     def spectral(self) -> bool:
         return self.params is RepairParams
 
 
-_SPECTRAL_FLAGS = _flags("repair_radius", "window", guard_dc="guard_dc_radius", threshold="detect_threshold")
 METHODS = {
-    "notch": Method("notch_reject", RepairParams, _SPECTRAL_FLAGS),
-    "spectral-median": Method("spectral_median", RepairParams, _SPECTRAL_FLAGS),
-    "bilateral": Method("bilateral_filter", BilateralParams, _flags("sigma_s", "sigma_r")),
-    "diffusion": Method("anisotropic_diffusion", DiffusionParams, _flags("k", "lam", "iterations", "conductance")),
-    "median": Method("median_filter", MedianParams, _flags("window")),
-    "mode": Method("mode_filter", ModeParams, _flags("window", "mode_kind", "bin_width")),
-    "nlm": Method("nlm_denoise", NlmParams, _flags("h", "patch_radius", "search_radius")),
-    "tv": Method("tv_denoise", TvParams, _flags("step", "iterations", "epsilon", tv_lambda="lam")),
+    "notch": Method("notch_reject", RepairParams),
+    "spectral-median": Method("spectral_median", RepairParams),
+    "bilateral": Method("bilateral_filter", BilateralParams),
+    "diffusion": Method("anisotropic_diffusion", DiffusionParams),
+    "median": Method("median_filter", MedianParams),
+    "mode": Method("mode_filter", ModeParams),
+    "nlm": Method("nlm_denoise", NlmParams),
+    "tv": Method("tv_denoise", TvParams, renamed={"lam": "tv_lambda"}),
 }
 ALL_METHODS = tuple(sorted(METHODS))
 
@@ -83,9 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gaussian", type=float, help="additive Gaussian noise std")
     src.add_argument("--salt-pepper", type=float, help="salt-and-pepper corruption density")
     p_noise.add_argument("--seed", type=int, help="RNG seed (required for random noise)")
-    p_noise.add_argument(
-        "--out-float", help="also save the full-precision result as a text matrix"
-    )
+    p_noise.add_argument("--out-float", help="also save the full-precision result as a text matrix")
     p_noise.set_defaults(func=cmd_add_noise, parser=p_noise)
 
     p_den = sub.add_parser("denoise", help="denoise a PGM image")
@@ -98,8 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     spectral.add_argument("--repair-radius", type=int)
     window_help = f"median window side (default {RepairParams.window} spectral, {MedianParams.window} spatial)"
     spectral.add_argument("--window", type=int, help=window_help)
-    spectral.add_argument("--guard-dc", type=int, help="DC guard radius in bins (default: auto)")
-    spectral.add_argument("--threshold", type=float, help="detection threshold multiple")
+    guard_help = "DC guard radius in bins (default: auto)"
+    spectral.add_argument("--guard-dc", dest="guard_dc_radius", metavar="GUARD_DC", type=int, help=guard_help)
+    threshold_help = "detection threshold multiple"
+    spectral.add_argument("--threshold", dest="detect_threshold", metavar="THRESHOLD", type=float, help=threshold_help)
     spatial = p_den.add_argument_group("spatial method parameters")
     spatial.add_argument("--mode-kind", choices=("global", "local"))
     spatial.add_argument("--bin-width", type=float)
@@ -172,9 +168,9 @@ def cmd_add_noise(args) -> int:
 
 
 def _params(method: Method, args=None):
-    """The method's params: each flag set in args over the library default."""
-    given = {f: getattr(args, d) for d, f in method.flags.items() if getattr(args, d, None) is not None}
-    return method.params(**given)
+    """The method's params: each field's flag set in args over the library default."""
+    dests = {f.name: method.renamed.get(f.name, f.name) for f in dataclasses.fields(method.params)}
+    return method.params(**{f: getattr(args, d) for f, d in dests.items() if getattr(args, d, None) is not None})
 
 
 def cmd_denoise(args) -> int:

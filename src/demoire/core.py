@@ -81,6 +81,13 @@ def _checked(arr: np.ndarray, kind: str) -> np.ndarray:
     return arr
 
 
+def _require_finite(owner: str, **values: float) -> None:
+    """The scalar twin of :func:`_checked`: raise ValueError naming the first value that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner} {name} must be finite, got {value}")
+
+
 def _frozen(arr: np.ndarray, kind: str) -> np.ndarray:
     """``arr``, checked by :func:`_checked` and marked read-only."""
     _checked(arr, kind).setflags(write=False)

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GrayImage, _owned_image
+from .core import GrayImage, _owned_image, _require_finite
 
 __all__ = [
     "MoireComponent",
@@ -38,9 +38,7 @@ class MoireSpec:
     def __post_init__(self):
         comps = tuple(MoireComponent(*c) for c in self.components)
         for c in comps:
-            for name, value in zip(MoireComponent._fields, c):
-                if not math.isfinite(value):
-                    raise ValueError(f"moire {name} must be finite, got {value}")
+            _require_finite("moire", **c._asdict())
             if c.amplitude < 0:
                 raise ValueError(f"moire amplitude must be nonnegative, got {c.amplitude}")
             if abs(c.freq_u) > 0.5 or abs(c.freq_v) > 0.5:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import GrayImage
+from .core import GrayImage, _require_finite
 
 __all__ = [
     "BilateralParams",
@@ -44,12 +44,6 @@ def _windows(img: GrayImage, window: int) -> tuple[np.ndarray, list[slice]]:
     rows = max(1, _BLOCK_VALUES // (w * window * window))
     view = sliding_window_view(np.pad(img.pixels, window // 2, mode="edge"), (window, window))
     return view, [np.s_[i0 : i0 + rows] for i0 in range(0, h, rows)]
-
-
-def _require_finite(owner: str, **values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{owner} {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
