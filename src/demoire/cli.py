@@ -220,8 +220,7 @@ def cmd_bench(args) -> int:
     image_dir = Path(args.images)
     files = sorted(image_dir.glob("*.pgm"))
     if not files:
-        print(f"error: no PGM images found in {image_dir}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no PGM images found in {image_dir}")
 
     spectral = any(METHODS[m].spectral for m in names)
     spatial = not all(METHODS[m].spectral for m in names)

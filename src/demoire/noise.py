@@ -73,6 +73,7 @@ def add_gaussian(img: GrayImage, sigma: float, seed: int) -> GrayImage:
     """Add i.i.d. zero-mean Gaussian noise; deterministic for a fixed seed."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    _require_finite("gaussian", sigma=sigma)
     rng = np.random.default_rng(seed)
     return GrayImage(img.pixels + rng.normal(0.0, sigma, img.shape))
 

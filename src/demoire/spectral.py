@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import GrayImage
+from .core import GrayImage, _require_finite
 # perfbench/spans.py wraps center_shift in this module, so it stays importable here.
 from .transform import Spectrum, _fill_mirrors, _owned_spectrum, center_shift, dft2d, idft2d  # noqa: F401
 
@@ -114,6 +114,7 @@ class RepairParams:
             raise ValueError(f"guard_dc_radius must be >= 0, got {self.guard_dc_radius}")
         if not self.detect_threshold > 1.0:
             raise ValueError(f"detect_threshold must exceed 1, got {self.detect_threshold}")
+        _require_finite("repair", detect_threshold=self.detect_threshold)
 
     def resolved_guard(self, height: int, width: int) -> int:
         if self.guard_dc_radius is not None:
@@ -459,6 +460,9 @@ def spectral_median(spec: Spectrum, peaks: PeakSet, params: RepairParams) -> Spe
     """
     h, w = spec.shape
     mask = _contamination_mask(h, w, peaks, params.repair_radius)
+    if (clean := mask.size - np.count_nonzero(mask)) < min(MIN_DONORS, mask.size):  # a bin needs donors no window has
+        raise ValueError(f"repair disks of radius {params.repair_radius} leave only {clean} uncontaminated bins in the "
+                         f"whole spectrum, fewer than {MIN_DONORS}; reduce the repair radius")
     src = spec.data
     mag = spec.magnitude
     repaired = src.copy()

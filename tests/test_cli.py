@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import re
@@ -24,6 +25,7 @@ from demoire import (
     QualityReport,
     RepairParams,
     TvParams,
+    add_salt_pepper,
     anisotropic_diffusion,
     bilateral_filter,
     center_shift,
@@ -165,6 +167,24 @@ class TestAddNoise:
         assert capsys.readouterr().err == "error: moire amplitude must be finite, got nan\n"
         assert not (tmp_path / "x.pgm").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_gaussian_sigma_named(self, tmp_path, constant_image, capsys, value):
+        out = tmp_path / "x.pgm"
+        rc = main(["add-noise", "--in", str(constant_image), "--out", str(out), "--gaussian", value, "--seed", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith(f" sigma must be finite, got {value}")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_salt_pepper_matches_library(self, tmp_path, constant_image):
+        out = tmp_path / "sp.pgm"
+        rc = main(["add-noise", "--in", str(constant_image), "--out", str(out), "--salt-pepper", "0.2", "--seed", "3"])
+        assert rc == 0
+        assert out.read_bytes() == write_pgm(add_salt_pepper(read_pgm(constant_image.read_bytes()), 0.2, 3))
+
 
 class TestDenoise:
     def test_spectral_median_dumps_true_peaks(self, tmp_path, constant_image, moire_spec_file):
@@ -305,6 +325,22 @@ class TestDenoise:
         assert rc == 0
         denoised = read_pgm(out.read_bytes())
         assert np.max(np.abs(denoised.pixels - 128.0)) <= 2.0
+
+    @pytest.mark.parametrize("method", ["notch", "spectral-median"])
+    def test_non_finite_threshold_named(self, tmp_path, constant_image, moire_spec_file, capsys, method):
+        # An infinite threshold would turn detection off and copy the input through.
+        noisy = tmp_path / "noisy.pgm"
+        main(["add-noise", "--in", str(constant_image), "--out", str(noisy), "--noise-spec", str(moire_spec_file)])
+        out, peaks_csv = tmp_path / "out.pgm", tmp_path / "peaks.csv"
+        rc = main(["denoise", "--in", str(noisy), "--out", str(out), "--method", method, "--threshold", "inf",
+                   "--dump-peaks", str(peaks_csv)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err[0].endswith(" detect_threshold must be finite, got inf")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists() and not peaks_csv.exists()
 
     def test_minimum_size_spectral(self, tmp_path):
         src = tmp_path / "tiny.pgm"
@@ -462,6 +498,21 @@ class TestDonorRule:
         assert len(err) == 1 and re.match(expected, err[0])
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("radius, window", [(46, 93), (46, 9), (40, 81)])
+    def test_covering_disks_ask_for_a_smaller_radius(self, tmp_path, capsys, radius, window):
+        # The disks around the pair cover every bin of the 64x64 spectrum: no window can find a donor.
+        src, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        moire = MoireSpec((MoireComponent(30.0, 10 / 64, 6 / 64, 0.2),))
+        write_image(src, synthesize_moire(make_filtered_field(64, 64, sigma=1.2, seed=3), moire).pixels)
+        assert main(["denoise", "--in", str(src), "--out", str(out), "--method", "spectral-median",
+                     "--repair-radius", str(radius), "--window", str(window)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: repair disks of radius {radius} leave only 0 uncontaminated bins in the whole spectrum, "
+            "fewer than 5; reduce the repair radius"
+        ]
+        assert captured.out == "" and not out.exists()
 
     def test_median_without_peaks_needs_no_donors(self, tmp_path):
         src, out, peaks_csv = tmp_path / "in.pgm", tmp_path / "out.pgm", tmp_path / "peaks.csv"
@@ -696,6 +747,27 @@ class TestParser:
         assert not (tmp_path / "usage.pgm").exists()
         assert together == alone
         assert alone["threshold"] != alone["plain"]  # so a leaked --threshold would show
+
+    @pytest.mark.parametrize("name", demoire.cli.ALL_METHODS)
+    def test_each_params_field_binds_to_its_flag(self, name):
+        # Every field of the method's params class is read from the denoise flag whose dest
+        # is its name (or its renamed dest), and setting that flag changes that field alone.
+        method = demoire.cli.METHODS[name]
+        args = demoire.cli.build_parser().parse_args(["denoise", "--in", "a", "--out", "b", "--method", name])
+        flags = {action.dest: action for action in args.parser._actions}
+        default = method.params()
+        for field in dataclasses.fields(method.params):
+            action = flags[method.renamed.get(field.name, field.name)]
+            old = getattr(default, field.name)
+            if action.choices:
+                value = next(c for c in action.choices if c != old)
+            elif old is None:
+                value = 2
+            else:
+                value = old + 2 if isinstance(old, int) else old / 2
+            argv = ["denoise", "--in", "a", "--out", "b", "--method", name, action.option_strings[0], str(value)]
+            got = demoire.cli._params(method, demoire.cli.build_parser().parse_args(argv))
+            assert got == dataclasses.replace(default, **{field.name: value}) != default, (name, field.name)
 
     def test_help_is_stable(self, capsys):
         texts = []

@@ -142,6 +142,11 @@ class TestAddGaussian:
         with pytest.raises(ValueError, match="sigma"):
             add_gaussian(GrayImage(np.zeros((4, 4))), 0.0, seed=1)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match=rf"^gaussian sigma must be finite, got {sigma}$"):
+            add_gaussian(GrayImage(np.zeros((4, 4))), sigma, seed=1)
+
 
 class TestAddSaltPepper:
     def test_corrupted_fraction(self):

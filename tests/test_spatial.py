@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 
 import numpy as np
@@ -493,6 +494,10 @@ class TestAnisotropicDiffusion:
         assert float(edge_conductance(0.0, 15.0, "exponential")) == 1.0
         assert float(edge_conductance(0.0, 15.0, "rational")) == 1.0
 
+    def test_conductance_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^conductance must be 'exponential' or 'rational', got 'linear'$"):
+            edge_conductance(1.0, 15.0, "linear")
+
     def test_constant_unchanged(self):
         img = GrayImage(np.full((9, 9), 5.0))
         for kind in ("exponential", "rational"):
@@ -707,6 +712,21 @@ class TestNlmDenoise:
 )
 def test_params_reject_non_finite_field(params, field, value):
     with pytest.raises(ValueError, match=rf" {field} must be finite, got {value}$"):
+        params(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "params, field, value, message",
+    [
+        (DiffusionParams, "k", 0.0, "diffusion K must be positive, got 0.0"),
+        (DiffusionParams, "iterations", -1, "iterations must be >= 0, got -1"),
+        (DiffusionParams, "conductance", "linear", "conductance must be 'exponential' or 'rational', got 'linear'"),
+        (TvParams, "iterations", -1, "iterations must be >= 0, got -1"),
+    ],
+    ids=["diffusion-k", "diffusion-iterations", "diffusion-conductance", "tv-iterations"],
+)
+def test_params_reject_out_of_range_field(params, field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         params(**{field: value})
 
 

@@ -100,6 +100,17 @@ class TestRepairParams:
         with pytest.raises(ValueError, match="repair_radius"):
             RepairParams(repair_radius=0)
 
+    def test_rejects_non_finite_threshold(self):
+        with pytest.raises(ValueError, match=r"^repair detect_threshold must be finite, got inf$"):
+            RepairParams(detect_threshold=math.inf)
+        with pytest.raises(ValueError, match=r"^detect_threshold must exceed 1, got nan$"):
+            RepairParams(detect_threshold=math.nan)
+
+    def test_rejects_negative_guard(self):
+        assert RepairParams(guard_dc_radius=0).resolved_guard(64, 64) == 0
+        with pytest.raises(ValueError, match=r"^guard_dc_radius must be >= 0, got -1$"):
+            RepairParams(guard_dc_radius=-1)
+
 
 class TestDetectPeaks:
     def test_clean_constant_image_gives_empty_set(self):
@@ -277,6 +288,18 @@ class TestSpectralMedian:
         peaks = paired_peaks(32, 32, dense)
         with pytest.raises(ValueError, match="increase window"):
             spectral_median(spec, peaks, RepairParams())
+
+    def test_covering_disks_name_the_radius(self):
+        # Radius 23 covers the 32x32 torus from any bin; a wider window cannot help, a smaller radius can.
+        spec = dft2d(GrayImage(np.full((32, 32), 50.0)))
+        expected = r"^repair disks of radius 23 leave only 0 uncontaminated bins in the whole spectrum, fewer than 5;"
+        with pytest.raises(ValueError, match=expected):
+            spectral_median(spec, paired_peaks(32, 32, [(5, 0)]), RepairParams(repair_radius=23, window=63))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 4)])
+    def test_spectrum_of_fewer_bins_than_donors_without_peaks_is_identity(self, shape):
+        spec = dft2d(GrayImage(np.arange(float(shape[0] * shape[1])).reshape(shape)))
+        assert np.array_equal(spectral_median(spec, PeakSet(), RepairParams()).data, spec.data)
 
     def test_deterministic(self):
         img = make_filtered_field(64, 64, sigma=1.2, seed=6)

@@ -2,6 +2,7 @@ import numpy as np
 
 from demoire import RepairParams, detect_peaks, dft2d
 from demoire.synth import (
+    _rescale,
     default_bench_images,
     make_checkerboard,
     make_filtered_field,
@@ -26,6 +27,11 @@ def test_filtered_field_respects_custom_range():
     img = make_filtered_field(32, 32, sigma=2.0, seed=2, lo=80.0, hi=176.0)
     assert img.pixels.min() == 80.0
     assert img.pixels.max() == 176.0
+
+
+def test_flat_input_rescales_to_mid_range():
+    assert np.array_equal(_rescale(np.full((3, 4), 7.0), 80.0, 176.0), np.full((3, 4), 128.0))
+    assert np.array_equal(make_ramp(1, 1).pixels, [[127.5]])
 
 
 def test_bench_images_deterministic():
