@@ -61,7 +61,7 @@ def save(args: argparse.Namespace, result: dict) -> None:
         return
     path = Path(args.json)
     doc = json.loads(path.read_text()) if path.exists() else {}
-    # cpus_available is the number of row strips NLM and the bilateral filter run.
+    # cpus_available is the number of row strips every spatial filter runs.
     doc.setdefault("host", {}).update(
         cpus=os.cpu_count(),
         cpus_available=len(os.sched_getaffinity(0)),

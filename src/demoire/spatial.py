@@ -6,8 +6,10 @@ Every filter is a pure map over an immutable input frame with replicate
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +40,55 @@ __all__ = [
 _BLOCK_VALUES = 1 << 16
 
 
-def _windows(img: GrayImage, window: int) -> tuple[np.ndarray, list[slice]]:
-    """The edge-padded window view of the image, and row blocks of it that hold at most _BLOCK_VALUES values."""
-    h, w = img.shape
-    rows = max(1, _BLOCK_VALUES // (w * window * window))
+def _in_strips(h: int, *phases, rounds: int = 1) -> None:
+    """Each ``phase(lo, hi)`` in turn, ``rounds`` times, on one strip of the h rows per available CPU, the
+    last on this thread and the others on worker threads (numpy's loops release the GIL). A barrier ends
+    each phase on every strip; the first error aborts it, and is raised here once every thread ends."""
+    n = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, h)
+    bounds = [h * k // n for k in range(n + 1)]
+    barrier, errors, threads = threading.Barrier(n), [], []
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            for _ in range(rounds):
+                for phase in phases:
+                    phase(lo, hi)
+                    barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # another strip failed
+        except BaseException as exc:  # raised below, on the calling thread
+            errors.append(exc)
+            barrier.abort()
+
+    try:
+        for strip in zip(bounds[:-2], bounds[1:-1]):
+            thread = threading.Thread(target=run, args=strip)
+            thread.start()
+            threads.append(thread)
+        run(bounds[-2], bounds[-1])
+    finally:
+        barrier.abort()  # ends the started strips if a thread could not start; harmless after the last wait
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _by_window_blocks(img: GrayImage, window: int, block_for) -> GrayImage:
+    """Each pixel from its window, in row strips of blocks of at most _BLOCK_VALUES window values:
+    ``block_for(rows)`` gives, per strip, the map from a block of up to ``rows`` rows to its output."""
+    rows = max(1, _BLOCK_VALUES // (img.width * window * window))
     view = sliding_window_view(np.pad(img.pixels, window // 2, mode="edge"), (window, window))
-    return view, [np.s_[i0 : i0 + rows] for i0 in range(0, h, rows)]
+    out = np.empty(img.shape)
+
+    def strip(lo: int, hi: int) -> None:
+        block = block_for(min(rows, hi - lo))
+        for i in range(lo, hi, rows):
+            b = np.s_[i : min(i + rows, hi)]
+            out[b] = block(view[b], img.pixels[b])
+
+    _in_strips(img.height, strip)
+    return GrayImage(out)
 
 
 @dataclass(frozen=True)
@@ -141,29 +186,39 @@ class NlmParams:
 
 def median_filter(img: GrayImage, p: MedianParams) -> GrayImage:
     """Window median at every pixel; odd window gives the exact middle value."""
-    view, blocks = _windows(img, p.window)
-    return GrayImage(np.concatenate([np.median(view[b], axis=(2, 3)) for b in blocks]))
+    return _by_window_blocks(img, p.window, lambda rows: lambda windows, center: np.median(windows, axis=(2, 3)))
 
 
-def _global_mode(windows: np.ndarray, center: np.ndarray, bin_width: float) -> np.ndarray:
-    # Each pixel's window offsets from its center, binned and sorted, so equal
-    # bins form runs. A value's depth in its run is its index minus the run's
-    # start; only the most populated bins reach the deepest depth, once each.
-    c = center[..., np.newaxis]
-    bins = np.subtract(windows, c[..., np.newaxis]).reshape(*center.shape, -1)
-    bins /= bin_width
-    np.round(bins, out=bins)
-    bins.sort(axis=-1)
-    index = np.arange(bins.shape[-1])
-    run_start = np.zeros(bins.shape, dtype=np.intp)
-    np.multiply(bins[..., 1:] != bins[..., :-1], index[1:], out=run_start[..., 1:])
-    depth = index - np.maximum.accumulate(run_start, axis=-1)
-    modal = depth == depth.max(axis=-1, keepdims=True)
-    # Tie break: nearest to the center pixel, then the lower bin.
-    centers = c + bins * bin_width
-    dist = np.where(modal, np.abs(centers - c), np.inf)
-    nearest = modal & (dist == dist.min(axis=-1, keepdims=True))
-    return np.where(nearest, centers, np.inf).min(axis=-1)
+def _global_mode(shape: tuple[int, int, int], bin_width: float):
+    """The global mode over blocks of up to ``shape`` = (rows, w, window**2) values, in buffers made once."""
+    index = np.arange(shape[-1])
+    floats, ints, masks = np.empty((2, *shape)), np.zeros((2, *shape), np.intp), np.empty((2, *shape), bool)
+
+    def mode(windows: np.ndarray, center: np.ndarray) -> np.ndarray:
+        (bins, centers), (run_start, depth), (modal, nearest) = (buf[:, : len(center)] for buf in (floats, ints, masks))
+        # Each pixel's window offsets from its center, binned and sorted, so equal
+        # bins form runs. A value's depth in its run is its index minus the run's
+        # start; only the most populated bins reach the deepest depth, once each.
+        c = center[..., np.newaxis]
+        np.subtract(windows, c[..., np.newaxis], out=bins.reshape(windows.shape))
+        bins /= bin_width
+        np.round(bins, out=bins)
+        bins.sort(axis=-1)
+        np.not_equal(bins[..., 1:], bins[..., :-1], out=modal[..., 1:])
+        np.multiply(modal[..., 1:], index[1:], out=run_start[..., 1:])  # run_start[..., 0] stays 0
+        np.maximum.accumulate(run_start, axis=-1, out=depth)
+        np.subtract(index, depth, out=depth)
+        np.equal(depth, depth.max(axis=-1, keepdims=True), out=modal)
+        # Tie break: nearest to the center pixel, then the lower bin.
+        np.add(c, np.multiply(bins, bin_width, out=centers), out=centers)
+        dist = np.abs(np.subtract(centers, c, out=bins), out=bins)
+        np.copyto(dist, np.inf, where=np.logical_not(modal, out=nearest))
+        np.equal(dist, dist.min(axis=-1, keepdims=True), out=nearest)
+        nearest &= modal
+        np.copyto(centers, np.inf, where=np.logical_not(nearest, out=modal))
+        return centers.min(axis=-1)
+
+    return mode
 
 
 def _local_mode(windows: np.ndarray, center: np.ndarray, bin_width: float) -> np.ndarray:
@@ -196,9 +251,9 @@ def mode_filter(img: GrayImage, p: ModeParams) -> GrayImage:
     mean of the neighbors within +-bin_width of the estimate) until the move
     drops below 1e-3 or 50 iterations pass.
     """
-    view, blocks = _windows(img, p.window)
-    mode = _global_mode if p.mode_kind == "global" else _local_mode
-    return GrayImage(np.concatenate([mode(view[b], img.pixels[b], p.bin_width) for b in blocks]))
+    if p.mode_kind == "local":
+        return _by_window_blocks(img, p.window, lambda rows: functools.partial(_local_mode, bin_width=p.bin_width))
+    return _by_window_blocks(img, p.window, lambda rows: _global_mode((rows, img.width, p.window**2), p.bin_width))
 
 
 def gauss_weight(x, sigma: float):
@@ -212,19 +267,6 @@ def gauss_weight(x, sigma: float):
     return g if g.ndim else g[()]
 
 
-def _by_rows(h: int, rows) -> np.ndarray:
-    """``rows(lo, hi)`` on one strip of the h rows per available CPU, stacked; the last strip
-    runs on this thread, the others on worker threads (numpy's loops release the GIL)."""
-    from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import: not at module load
-
-    n = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, h)
-    bounds = [h * k // n for k in range(n + 1)]
-    with ThreadPoolExecutor(n) as pool:
-        workers = [pool.submit(rows, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
-        last = rows(bounds[-2], bounds[-1])
-        return np.concatenate([worker.result() for worker in workers] + [last])
-
-
 def _half_offsets(radius: int):
     """One offset d = (du, dv) of each pair d, -d in the window: du > 0, or du == 0 and dv > 0."""
     for du in range(radius + 1):
@@ -232,61 +274,56 @@ def _half_offsets(radius: int):
             yield du, dv
 
 
-def _pair_windows(padded: np.ndarray, pad: int, shape: tuple[int, int], du: int, dv: int):
-    """Values at p and at p + d over the pixels p for which p or p + d lies in the image.
+def _pair_means(img: GrayImage, pad: int, radius: int, wgt0: float, weights) -> GrayImage:
+    """Weighted means over p + d, |du|, |dv| <= radius, in row strips, each symmetric pair weighed once.
 
-    Both windows are (h + du) x (w + |dv|). ``padded`` is the h x w image
-    padded by ``pad``, at least the largest |du| and |dv|.
-    """
-    h, w = shape
-    pos, neg = max(dv, 0), max(-dv, 0)
-    near = padded[pad - du : pad + h, pad - pos : pad + w + neg]
-    far = padded[pad : pad + h + du, pad - neg : pad + w + pos]
-    return near, far
+    A strip, edge-padded by ``pad`` >= radius, is one flat array of rows W + 2 pad long, where d is the
+    shift s = du (W + 2 pad) + dv > 0. ``weights(flat, a, b, s, du, dv)`` gives w(x, x + s) over the
+    span [o0, o1) of the strip's pixels widened to [a, b) = [o0 - s, o1), so p takes w(p, p + s) and q
+    w(q - s, q) in contiguous passes. The zero offset, weight ``wgt0``, starts the sums on the padded-
+    width grid; no kept pixel's pair wraps into another row, and the pad columns are dropped."""
+    h, w = img.shape
+    padded = np.pad(img.pixels, pad, mode="edge")
+    row = w + 2 * pad
+    out = np.empty(img.shape)
 
+    def strip(lo: int, hi: int) -> None:
+        flat = padded[lo : hi + 2 * pad].ravel()
+        o0 = pad * row + pad
+        o1 = o0 + (hi - lo - 1) * row + w
+        grid = np.empty((hi - lo) * row)
+        num = np.multiply(wgt0, flat[o0:o1], out=grid[: o1 - o0])
+        den = np.full(num.shape, wgt0)
+        for du, dv in _half_offsets(radius):
+            s = du * row + dv
+            wgt = weights(flat, o0 - s, o1, s, du, dv)
+            num += wgt[s:] * flat[o0 + s : o1 + s]
+            den += wgt[s:]
+            num += wgt[: o1 - o0] * flat[o0 - s : o1 - s]
+            den += wgt[: o1 - o0]
+        np.divide(num, den, out=num)
+        out[lo:hi] = grid.reshape(hi - lo, row)[:, :w]
 
-def _add_pair(num: np.ndarray, den: np.ndarray, wgt: np.ndarray, near: np.ndarray, far: np.ndarray, du: int, dv: int):
-    """Add each pair's weight to both of its pixels, each with the other's value.
-
-    ``wgt``, ``near`` and ``far`` span the windows of :func:`_pair_windows`:
-    p lies in the image on the last h rows and at columns max(dv, 0) on,
-    q = p + d on the first h rows and at columns max(-dv, 0) on.
-    """
-    h, w = num.shape
-    pos, neg = max(dv, 0), max(-dv, 0)
-    at_p = np.s_[du : du + h, pos : pos + w]
-    at_q = np.s_[:h, neg : neg + w]
-    num += wgt[at_p] * far[at_p]
-    den += wgt[at_p]
-    num += wgt[at_q] * near[at_q]
-    den += wgt[at_q]
+    _in_strips(h, strip)
+    return GrayImage(out)
 
 
 def bilateral_filter(img: GrayImage, p: BilateralParams) -> GrayImage:
     """Edge-preserving weighted mean: spatial closeness times range similarity.
 
     The weight of a pixel pair is symmetric: ws(|d|) is, and (a - b)^2 equals
-    (b - a)^2 in IEEE arithmetic. So each pair (p, p + d) is weighed once, for
-    half the window's offsets, and its weight is added at both pixels; the
-    zero offset starts the sums. The weights are the same numbers as a pass
-    over every offset computes; only the order of the sums differs.
+    (b - a)^2 in IEEE arithmetic. So each pair (p, p + d) is weighed once and
+    added at both pixels; the weights are the same numbers as a pass over
+    every offset computes, and only the order of the sums differs.
     """
-    r = p.radius
-    padded = np.pad(img.pixels, r, mode="edge")
     wgt0 = float(gauss_weight(0.0, p.sigma_s)) * float(gauss_weight(0.0, p.sigma_r))
 
-    def rows(lo: int, hi: int) -> np.ndarray:
-        num = wgt0 * img.pixels[lo:hi]
-        den = np.full(num.shape, wgt0)
-        for du, dv in _half_offsets(r):
-            ws = float(gauss_weight(math.hypot(du, dv), p.sigma_s))
-            near, far = _pair_windows(padded[lo : hi + 2 * r], r, num.shape, du, dv)
-            wgt = gauss_weight(near - far, p.sigma_r)
-            wgt *= ws
-            _add_pair(num, den, wgt, near, far, du, dv)
-        return num / den
+    def weights(flat: np.ndarray, a: int, b: int, s: int, du: int, dv: int) -> np.ndarray:
+        wgt = gauss_weight(flat[a:b] - flat[a + s : b + s], p.sigma_r)
+        wgt *= float(gauss_weight(math.hypot(du, dv), p.sigma_s))
+        return wgt
 
-    return GrayImage(_by_rows(img.shape[0], rows))
+    return _pair_means(img, p.radius, p.radius, wgt0, weights)
 
 
 def edge_conductance(grad, k: float, kind: str = "exponential"):
@@ -306,20 +343,30 @@ def anisotropic_diffusion(img: GrayImage, p: DiffusionParams) -> GrayImage:
     seen from the far pixel the difference is -d, and c(|-d|) * -d is exactly
     -(c(|d|) * d). So each edge's flux is computed once, on the H - 1 row
     edges and the W - 1 column edges, and added south, north, east, west in
-    that order.
+    that order. Row strips run in lockstep: each computes its edges' fluxes
+    (down to the next strip's first row), then adds them and the edge above.
     """
     u = img.pixels.copy()
-    for _ in range(p.iterations):
-        dr = u[1:, :] - u[:-1, :]
-        dc = u[:, 1:] - u[:, :-1]
-        fr = edge_conductance(dr, p.k, p.conductance) * dr
-        fc = edge_conductance(dc, p.k, p.conductance) * dc
-        flux = np.zeros_like(u)
-        flux[:-1, :] += fr
-        flux[1:, :] -= fr
-        flux[:, :-1] += fc
-        flux[:, 1:] -= fc
-        u = u + p.lam * flux
+    h, w = u.shape
+    fr, fc = np.empty((h - 1, w)), np.empty((h, w - 1))
+
+    def fluxes(lo: int, hi: int) -> None:
+        e = min(hi, h - 1)
+        dr = u[lo + 1 : e + 1] - u[lo:e]
+        dc = u[lo:hi, 1:] - u[lo:hi, :-1]
+        np.multiply(edge_conductance(dr, p.k, p.conductance), dr, out=fr[lo:e])
+        np.multiply(edge_conductance(dc, p.k, p.conductance), dc, out=fc[lo:hi])
+
+    def update(lo: int, hi: int) -> None:
+        top = max(lo, 1)
+        flux = np.zeros((hi - lo, w))
+        flux[: min(hi, h - 1) - lo] += fr[lo:hi]
+        flux[top - lo :] -= fr[top - 1 : hi - 1]
+        flux[:, :-1] += fc[lo:hi]
+        flux[:, 1:] -= fc[lo:hi]
+        np.add(u[lo:hi], p.lam * flux, out=u[lo:hi])
+
+    _in_strips(h, fluxes, update, rounds=p.iterations)
     return GrayImage(u)
 
 
@@ -347,29 +394,39 @@ def tv_energy(u: GrayImage, noisy: GrayImage, p: TvParams) -> float:
 def tv_denoise(img: GrayImage, p: TvParams) -> GrayImage:
     """Fixed-step gradient descent on the epsilon-regularized TV objective."""
     u0 = img.pixels
-    u = u0.copy()
+    u, h = u0.copy(), len(u0)
     # gx's last column and gy's last row stay 0 (Neumann); px, py are
     # computed in place over gx, gy and div doubles as scratch.
     gx, gy = np.zeros_like(u), np.zeros_like(u)
     mag, div = np.empty_like(u), np.empty_like(u)
     eps2 = p.epsilon * p.epsilon
-    for _ in range(p.iterations):
-        np.subtract(u[:, 1:], u[:, :-1], out=gx[:, :-1])
-        np.subtract(u[1:, :], u[:-1, :], out=gy[:-1, :])
-        np.multiply(gx, gx, out=mag)
-        mag += np.multiply(gy, gy, out=div)
-        mag += eps2
-        np.sqrt(mag, out=mag)
-        px = np.divide(gx, mag, out=gx)
-        py = np.divide(gy, mag, out=gy)
-        np.add(px, py, out=div)
-        div[:, 1:] -= px[:, :-1]
-        div[1:, :] -= py[:-1, :]
-        grad = np.subtract(u, u0, out=mag)
+
+    # Row strips in lockstep: px, py (gy reads u below the strip), then u (div reads py above it).
+    def normalized_gradient(lo: int, hi: int) -> None:
+        e = min(hi, h - 1)
+        np.subtract(u[lo:hi, 1:], u[lo:hi, :-1], out=gx[lo:hi, :-1])
+        np.subtract(u[lo + 1 : e + 1], u[lo:e], out=gy[lo:e])
+        x, y, m = gx[lo:hi], gy[lo:hi], mag[lo:hi]
+        np.multiply(x, x, out=m)
+        m += np.multiply(y, y, out=div[lo:hi])
+        m += eps2
+        np.sqrt(m, out=m)
+        np.divide(x, m, out=x)
+        np.divide(y, m, out=y)
+
+    def update(lo: int, hi: int) -> None:
+        top = max(lo, 1)
+        px, py, d = gx[lo:hi], gy[lo:hi], div[lo:hi]
+        np.add(px, py, out=d)
+        np.subtract(d[:, 1:], px[:, :-1], out=d[:, 1:])
+        np.subtract(d[top - lo :], gy[top - 1 : hi - 1], out=d[top - lo :])
+        grad = np.subtract(u[lo:hi], u0[lo:hi], out=mag[lo:hi])
         grad *= p.lam
-        grad += np.negative(div, out=div)
+        grad += np.negative(d, out=d)
         grad *= p.step
-        u -= grad
+        np.subtract(u[lo:hi], grad, out=u[lo:hi])
+
+    _in_strips(h, normalized_gradient, update, rounds=p.iterations)
     return GrayImage(u)
 
 
@@ -382,14 +439,15 @@ def _patch_kernel(radius: int) -> np.ndarray:
     return k1 / k1.sum()
 
 
-def _conv_valid_1d(arr: np.ndarray, k1: np.ndarray, axis: int) -> np.ndarray:
-    # k1[t] == k1[n-1-t] exactly, so each pair of taps shares one multiply.
+def _conv_valid_1d(arr: np.ndarray, k1: np.ndarray, step: int) -> np.ndarray:
+    # Taps ``step`` apart in the flat array. k1[t] == k1[n-1-t] exactly, so each
+    # pair of taps shares one multiply.
     n = len(k1)
     c = n // 2
-    m = arr.shape[axis] - n + 1
+    m = len(arr) - (n - 1) * step
 
     def tap(t):
-        return arr[t : t + m] if axis == 0 else arr[:, t : t + m]
+        return arr[t * step : t * step + m]
 
     out = tap(c) * k1[c]
     pair = np.empty_like(out)
@@ -400,9 +458,10 @@ def _conv_valid_1d(arr: np.ndarray, k1: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _conv_valid_sep(arr: np.ndarray, k1: np.ndarray) -> np.ndarray:
-    # Kernel is symmetric, so correlation equals convolution.
-    return _conv_valid_1d(_conv_valid_1d(arr, k1, 0), k1, 1)
+def _conv_valid_sep(arr: np.ndarray, k1: np.ndarray, row: int) -> np.ndarray:
+    # Down the columns of a flat array with rows ``row`` long, then along its rows;
+    # the kernel is symmetric, so correlation equals convolution.
+    return _conv_valid_1d(_conv_valid_1d(arr, k1, row), k1, 1)
 
 
 def nlm_denoise(img: GrayImage, p: NlmParams) -> GrayImage:
@@ -419,24 +478,15 @@ def nlm_denoise(img: GrayImage, p: NlmParams) -> GrayImage:
     both pixels; the zero offset, weight exp(0) = 1, starts the sums.
     """
     pr, sr = p.patch_radius, p.search_radius
-    big = np.pad(img.pixels, sr + pr, mode="edge")
     k1 = _patch_kernel(pr)
     h2 = p.h * p.h
+    row = img.shape[1] + 2 * (sr + pr)
+    reach = pr * row + pr  # the patch around x spans [x - reach, x + reach] of the flat strip
 
-    def rows(lo: int, hi: int) -> np.ndarray:
-        strip = big[lo : hi + 2 * (sr + pr)]
-        num = img.pixels[lo:hi].copy()
-        den = np.ones(num.shape)
-        grown = (hi - lo + 2 * pr, num.shape[1] + 2 * pr)
-        for du, dv in _half_offsets(sr):
-            # The same windows over the strip grown by pr hold the patches.
-            near_patch, far_patch = _pair_windows(strip, sr, grown, du, dv)
-            sq = np.subtract(near_patch, far_patch)
-            dist = _conv_valid_sep(np.multiply(sq, sq, out=sq), k1)
-            # In place, with dist / -h2 == -dist / h2 exactly.
-            wgt = np.exp(np.divide(dist, -h2, out=dist), out=dist)
-            near, far = _pair_windows(strip, sr + pr, num.shape, du, dv)
-            _add_pair(num, den, wgt, near, far, du, dv)
-        return num / den
+    def weights(flat: np.ndarray, a: int, b: int, s: int, du: int, dv: int) -> np.ndarray:
+        sq = np.subtract(flat[a - reach : b + reach], flat[a - reach + s : b + reach + s])
+        dist = _conv_valid_sep(np.multiply(sq, sq, out=sq), k1, row)
+        # In place, with dist / -h2 == -dist / h2 exactly.
+        return np.exp(np.divide(dist, -h2, out=dist), out=dist)
 
-    return GrayImage(_by_rows(img.shape[0], rows))
+    return _pair_means(img, sr + pr, sr, 1.0, weights)

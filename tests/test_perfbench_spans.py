@@ -69,8 +69,8 @@ def test_tracer_records_denoise_spans(monkeypatch, tmp_path):
 
 
 def test_row_strip_filters_trace_on_one_thread(monkeypatch, tmp_path):
-    # The tracer assumes spans nest on one thread: the worker threads of the
-    # NLM and bilateral row strips must not call a wrapped name.
+    # The tracer assumes spans nest on one thread: the worker threads of every
+    # spatial filter's row strips must not call a wrapped name.
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)
@@ -87,11 +87,20 @@ def test_row_strip_filters_trace_on_one_thread(monkeypatch, tmp_path):
     rng = np.random.default_rng(7)
     (tmp_path / "t.pgm").write_bytes(write_pgm(GrayImage(128.0 + rng.normal(0.0, 9.0, (40, 36)))))
     argv = ["denoise", "--in", str(tmp_path / "t.pgm"), "--out", str(tmp_path / "o.pgm"), "--method"]
-    for method, name in (("nlm", "spatial.nlm_denoise"), ("bilateral", "spatial.bilateral_filter")):
+    filters = (
+        (["median"], "spatial.median_filter"),
+        (["mode"], "spatial.mode_filter"),
+        (["mode", "--mode-kind", "global"], "spatial.mode_filter"),
+        (["bilateral"], "spatial.bilateral_filter"),
+        (["diffusion"], "spatial.anisotropic_diffusion"),
+        (["tv"], "spatial.tv_denoise"),
+        (["nlm"], "spatial.nlm_denoise"),
+    )
+    for method, name in filters:
         tracer = spans.Tracer()
         tracer.install()
         try:
-            assert demoire.cli.main([*argv, method]) == 0
+            assert demoire.cli.main([*argv, *method]) == 0
         finally:
             tracer.uninstall()
         assert [s.name for s in tracer.spans if s.name.startswith("spatial.")] == [name]
@@ -99,8 +108,8 @@ def test_row_strip_filters_trace_on_one_thread(monkeypatch, tmp_path):
 
 
 def test_cli_import_leaves_thread_pool_unloaded():
-    # concurrent.futures costs milliseconds to import; the row strips load it
-    # on first use, so a plain import of the command line does not pay it.
+    # concurrent.futures costs milliseconds to import; the row strips run on
+    # plain threads, so neither an import of the command line nor a filter pays it.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, demoire.cli; print('concurrent.futures' in sys.modules)"

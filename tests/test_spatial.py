@@ -1,6 +1,9 @@
 import math
 import re
+import signal
+import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -168,6 +171,61 @@ def diffusion_four_directions(img, p: DiffusionParams):
     return u
 
 
+def _pair_windows(padded: np.ndarray, pad: int, shape: tuple[int, int], du: int, dv: int):
+    """Values at p and at p + d over the pixels p for which p or p + d lies in the image.
+
+    Both windows are (h + du) x (w + |dv|). ``padded`` is the h x w image
+    padded by ``pad``, at least the largest |du| and |dv|.
+    """
+    h, w = shape
+    pos, neg = max(dv, 0), max(-dv, 0)
+    near = padded[pad - du : pad + h, pad - pos : pad + w + neg]
+    far = padded[pad : pad + h + du, pad - neg : pad + w + pos]
+    return near, far
+
+
+def _add_pair(num: np.ndarray, den: np.ndarray, wgt: np.ndarray, near: np.ndarray, far: np.ndarray, du: int, dv: int):
+    """Add each pair's weight to both of its pixels, each with the other's value.
+
+    ``wgt``, ``near`` and ``far`` span the windows of :func:`_pair_windows`:
+    p lies in the image on the last h rows and at columns max(dv, 0) on,
+    q = p + d on the first h rows and at columns max(-dv, 0) on.
+    """
+    h, w = num.shape
+    pos, neg = max(dv, 0), max(-dv, 0)
+    at_p = np.s_[du : du + h, pos : pos + w]
+    at_q = np.s_[:h, neg : neg + w]
+    num += wgt[at_p] * far[at_p]
+    den += wgt[at_p]
+    num += wgt[at_q] * near[at_q]
+    den += wgt[at_q]
+
+
+def _conv_valid_1d(arr: np.ndarray, k1: np.ndarray, axis: int) -> np.ndarray:
+    # k1[t] == k1[n-1-t] exactly, so each pair of taps shares one multiply.
+    n = len(k1)
+    c = n // 2
+    m = arr.shape[axis] - n + 1
+
+    def tap(t):
+        return arr[t : t + m] if axis == 0 else arr[:, t : t + m]
+
+    out = tap(c) * k1[c]
+    pair = np.empty_like(out)
+    for t in range(c):
+        np.add(tap(t), tap(n - 1 - t), out=pair)
+        pair *= k1[t]
+        out += pair
+    return out
+
+
+def _conv_valid_sep(arr: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    # Kernel is symmetric, so correlation equals convolution.
+    return _conv_valid_1d(_conv_valid_1d(arr, k1, 0), k1, 1)
+
+
+# The references below run the 2-D pair windows above over the whole image on
+# one thread: the sums that the flat row strips must reproduce byte for byte.
 def bilateral_reference(img, p: BilateralParams):
     # Reference: the half-offset pair sums over the whole image on one thread.
     r = p.radius
@@ -178,10 +236,10 @@ def bilateral_reference(img, p: BilateralParams):
     den = np.full(img.shape, wgt0)
     for du, dv in demoire.spatial._half_offsets(r):
         ws = float(gauss_weight(math.hypot(du, dv), p.sigma_s))
-        near, far = demoire.spatial._pair_windows(padded, r, img.shape, du, dv)
+        near, far = _pair_windows(padded, r, img.shape, du, dv)
         wgt = gauss_weight(near - far, p.sigma_r)
         wgt *= ws
-        demoire.spatial._add_pair(num, den, wgt, near, far, du, dv)
+        _add_pair(num, den, wgt, near, far, du, dv)
     return num / den
 
 
@@ -196,12 +254,12 @@ def nlm_reference(img, p: NlmParams):
     num = img.pixels.copy()
     den = np.ones(img.shape)
     for du, dv in sp._half_offsets(sr):
-        near_patch, far_patch = sp._pair_windows(big, sr, (h + 2 * pr, w + 2 * pr), du, dv)
+        near_patch, far_patch = _pair_windows(big, sr, (h + 2 * pr, w + 2 * pr), du, dv)
         sq = np.subtract(near_patch, far_patch)
-        dist = sp._conv_valid_sep(np.multiply(sq, sq, out=sq), k1)
+        dist = _conv_valid_sep(np.multiply(sq, sq, out=sq), k1)
         wgt = np.exp(np.divide(dist, -h2, out=dist), out=dist)
-        near, far = sp._pair_windows(big, sr + pr, img.shape, du, dv)
-        sp._add_pair(num, den, wgt, near, far, du, dv)
+        near, far = _pair_windows(big, sr + pr, img.shape, du, dv)
+        _add_pair(num, den, wgt, near, far, du, dv)
     return num / den
 
 
@@ -218,6 +276,26 @@ def strip_image(shape):
 
 def report_cpus(monkeypatch, n):
     monkeypatch.setattr(demoire.spatial.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@contextmanager
+def deadline(seconds):
+    # A hung strip fails the test instead of stalling the suite: SIGALRM interrupts the
+    # wait, and the test fails even if the strip runner swallows the interrupt.
+    expired = []
+
+    def expire(signum, frame):
+        expired.append(signum)
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not expired, f"no result within {seconds} s"
 
 
 def small_images(shape):
@@ -299,10 +377,12 @@ class TestMedianFilter:
         img = strip_image(shape)
         view = sliding_window_view(np.pad(img.pixels, window // 2, mode="edge"), (window, window))
         want = np.median(view, axis=(2, 3)).tobytes()
-        assert median_filter(img, MedianParams(window)).pixels.tobytes() == want
-        for rows in (1, 3):  # blocks of 1 and 3 rows cross every block boundary
-            monkeypatch.setattr(demoire.spatial, "_BLOCK_VALUES", rows * shape[1] * window * window)
-            assert median_filter(img, MedianParams(window)).pixels.tobytes() == want
+        for rows in (None, 1, 3):  # blocks of 1 and 3 rows cross every block boundary
+            if rows:
+                monkeypatch.setattr(demoire.spatial, "_BLOCK_VALUES", rows * shape[1] * window * window)
+            for cpus in STRIP_CPUS:  # and row strips on 1, 2, 3 and 5 CPUs
+                report_cpus(monkeypatch, cpus)
+                assert median_filter(img, MedianParams(window)).pixels.tobytes() == want, (rows, cpus)
 
     def test_rejects_even_window(self):
         with pytest.raises(ValueError, match="odd"):
@@ -406,6 +486,23 @@ class TestModeFilter:
             for bin_width in (0.3, 8.0, 40.0):
                 got = mode_filter(img, ModeParams(window, "local", bin_width)).pixels
                 assert np.array_equal(got, local_mode_reference(img, window, bin_width))
+
+    @pytest.mark.parametrize("shape", STRIP_SHAPES)
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_row_strips_same_bytes_as_oracles(self, monkeypatch, shape, kind):
+        # Whole strips, and blocks of 1 and 3 rows inside them, on 1, 2, 3 and 5 CPUs.
+        img = strip_image(shape)
+        p = ModeParams(3, kind, 8.0)
+        if kind == "global":
+            want = global_mode_oracle(img.pixels, p.window, p.bin_width).tobytes()
+        else:
+            want = local_mode_reference(img, p.window, p.bin_width).tobytes()
+        for rows in (None, 1, 3):
+            if rows:
+                monkeypatch.setattr(demoire.spatial, "_BLOCK_VALUES", rows * shape[1] * p.window**2)
+            for cpus in STRIP_CPUS:
+                report_cpus(monkeypatch, cpus)
+                assert mode_filter(img, p).pixels.tobytes() == want, (rows, cpus)
 
     @pytest.mark.parametrize("bin_width", [float("nan"), float("inf")])
     def test_rejects_non_finite_bin_width(self, bin_width):
@@ -532,6 +629,63 @@ class TestAnisotropicDiffusion:
             img = GrayImage(pixels)
             assert anisotropic_diffusion(img, p).pixels.tobytes() == diffusion_four_directions(img, p).tobytes()
 
+    @pytest.mark.parametrize("shape", STRIP_SHAPES)
+    @pytest.mark.parametrize(
+        "p", [DiffusionParams(), DiffusionParams(3.0, 0.25, 25, "rational")], ids=["default", "3-0.25-25-rational"]
+    )
+    def test_row_strips_same_bytes_as_four_direction_reference(self, monkeypatch, shape, p):
+        img = strip_image(shape)
+        want = diffusion_four_directions(img, p).tobytes()
+        for cpus in STRIP_CPUS:
+            report_cpus(monkeypatch, cpus)
+            assert anisotropic_diffusion(img, p).pixels.tobytes() == want, cpus
+
+    @pytest.mark.parametrize("on_caller", [False, True], ids=["worker", "caller"])
+    def test_lockstep_phase_error_exits_1(self, monkeypatch, tmp_path, capsys, on_caller):
+        # Each strip's 7th conductance call, in round 4, fails on the worker threads or on
+        # the calling thread; the strips still in step stop at the aborted barrier.
+        conductance = demoire.spatial.edge_conductance
+        calls = {}
+
+        def failing_in_round_4(*args):
+            thread = threading.current_thread()
+            if (thread is threading.main_thread()) == on_caller:
+                calls[thread] = calls.get(thread, 0) + 1
+                if calls[thread] == 7:
+                    raise ValueError("lockstep strip failed")
+            return conductance(*args)
+
+        report_cpus(monkeypatch, 3)
+        monkeypatch.setattr(demoire.spatial, "edge_conductance", failing_in_round_4)
+        before = threading.active_count()
+        (tmp_path / "in.pgm").write_bytes(write_pgm(strip_image((24, 20))))
+        out = tmp_path / "out.pgm"
+        argv = ["denoise", "--in", str(tmp_path / "in.pgm"), "--out", str(out), "--method", "diffusion"]
+        with deadline(30):
+            assert demoire.cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: lockstep strip failed"]
+        assert len(calls) == (1 if on_caller else 2)
+        assert threading.active_count() == before
+        assert not out.exists()
+
+    def test_thread_that_cannot_start_stops_the_started_strips(self, monkeypatch):
+        start = threading.Thread.start
+        started = []
+
+        def start_one(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        report_cpus(monkeypatch, 3)
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        before = threading.active_count()
+        with deadline(30), pytest.raises(RuntimeError, match="can't start new thread"):
+            anisotropic_diffusion(strip_image((24, 20)), DiffusionParams())
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+
     def test_zero_iterations_identity(self):
         rng = np.random.default_rng(19)
         img = GrayImage(rng.random((8, 8)) * 255)
@@ -556,6 +710,17 @@ class TestTvDenoise:
         img = GrayImage(rng.random(shape) * 255)
         for p in (TvParams(), TvParams(lam=0.3, step=0.05, iterations=7, epsilon=0.5)):
             assert np.array_equal(tv_denoise(img, p).pixels, tv_iterated_steps(img, p))
+
+    @pytest.mark.parametrize("shape", STRIP_SHAPES)
+    @pytest.mark.parametrize(
+        "p", [TvParams(), TvParams(lam=0.3, step=0.05, iterations=7, epsilon=0.5)], ids=["default", "0.3-0.05-7-0.5"]
+    )
+    def test_row_strips_same_bytes_as_iterated_steps(self, monkeypatch, shape, p):
+        img = strip_image(shape)
+        want = tv_iterated_steps(img, p).tobytes()
+        for cpus in STRIP_CPUS:
+            report_cpus(monkeypatch, cpus)
+            assert tv_denoise(img, p).pixels.tobytes() == want, cpus
 
     def test_huge_lambda_keeps_noisy_input(self):
         rng = np.random.default_rng(20)
@@ -597,6 +762,26 @@ class TestTvDenoise:
         for bad in (dict(lam=0.0), dict(step=0.0), dict(epsilon=0.0)):
             with pytest.raises(ValueError):
                 TvParams(**bad)
+
+
+@pytest.mark.parametrize("method", ["tv", "diffusion"])
+def test_lockstep_strips_under_frequent_thread_switches(monkeypatch, method):
+    # Five strips on fewer cores, switching threads every microsecond: a phase that
+    # read a neighbouring strip's rows before the barrier would change the bytes.
+    img = strip_image((64, 63))
+    if method == "tv":
+        run, p, want = tv_denoise, TvParams(iterations=30), tv_iterated_steps(img, TvParams(iterations=30))
+    else:
+        run, p, want = anisotropic_diffusion, DiffusionParams(), diffusion_four_directions(img, DiffusionParams())
+    report_cpus(monkeypatch, 5)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with deadline(60):
+            for _ in range(5):
+                assert run(img, p).pixels.tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def tv_denoise_step(u: GrayImage, noisy: GrayImage, p: TvParams) -> GrayImage:
@@ -659,10 +844,10 @@ class TestNlmDenoise:
         # A ValueError on a worker thread reaches cli.main, after every strip is joined.
         conv = demoire.spatial._conv_valid_sep
 
-        def failing_off_main(arr, k1):
+        def failing_off_main(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise ValueError("worker strip failed")
-            return conv(arr, k1)
+            return conv(*args)
 
         report_cpus(monkeypatch, 2)
         monkeypatch.setattr(demoire.spatial, "_conv_valid_sep", failing_off_main)
